@@ -19,15 +19,19 @@ import numpy as np
 
 from . import alignment
 from .fixtures import fixtures as make_fixtures
-from .events import read_events, simulate_events, voxelize, write_events, VoxelGrid
-from .image import pad_reflect, psnr, psnr_star, read_image, ssim, write_image
-from .lightup import light_up, snr_map
-from .model import EvLightModel, enhance_file, infer_architecture
+from . import tensor as T
+from .events import read_events, simulate_events, voxelize, write_events
+from .image import psnr, psnr_star, read_image, ssim, write_image
+from .lightup import LightUpEstimator, light_up, snr_map
+from .model import EvLightModel, enhance_file, infer_architecture, predict
 from .module import load_checkpoint
-from .tensor import Tensor
 from .training import TrainConfig, parse_config, parse_manifest, train
 
 log = logging.getLogger("evlight")
+
+# SNR-mask threshold for inference commands when --tau is not given; train
+# takes tau from --tau, then --config, then TrainConfig
+INFER_TAU = 0.5
 
 
 def _setup_logging() -> None:
@@ -87,17 +91,15 @@ def _cmd_simulate_events(args) -> int:
 
 def _cmd_lightup(args) -> int:
     img = read_image(args.image)
+    # built first from the seed, as inside EvLightModel
+    estimator = LightUpEstimator(np.random.default_rng(args.seed or 0))
     if args.ckpt:
-        state = load_checkpoint(args.ckpt)
-        base_channels, heads, bins = infer_architecture(state)
-        model = EvLightModel(np.random.default_rng(args.seed or 0),
-                             base_channels=base_channels, heads=heads,
-                             bins=bins, tau=args.tau)
-        model.load_state(state)
-    else:
-        model = EvLightModel(np.random.default_rng(args.seed or 0),
-                             bins=args.bins or 32, tau=args.tau)
-    i_lu, _ = light_up(Tensor(img), model.estimator)
+        prefix = "estimator."
+        estimator.load_state({k[len(prefix):]: v for k, v in
+                              load_checkpoint(args.ckpt).items()
+                              if k.startswith(prefix)})
+    with T.no_grad():
+        i_lu, _ = light_up(T.Tensor(img), estimator)
     write_image(args.out, np.clip(i_lu.data, 0.0, 1.0))
     print(f"wrote {args.out} mean {img.mean():.4f} -> {i_lu.data.mean():.4f}")
     return 0
@@ -148,16 +150,8 @@ def _cmd_eval(args) -> int:
         try:
             low = read_image(pair.low)
             gt = read_image(pair.gt)
-            stream = read_events(pair.events)
-            grid = voxelize(stream, bins, pair.t0, pair.t1)
-            padded, h, w = pad_reflect(low, 4)
-            gdata = grid.data
-            ph, pw = padded.shape[0] - h, padded.shape[1] - w
-            if ph or pw:
-                gdata = np.pad(gdata, ((0, 0), (0, ph), (0, pw)), mode="reflect")
-            pgrid = VoxelGrid(gdata, bins, padded.shape[1], padded.shape[0])
-            i_en, _, _ = model.forward(padded, pgrid)
-            en = np.clip(i_en.data[:h, :w, :], 0.0, 1.0)
+            grid = voxelize(read_events(pair.events), bins, pair.t0, pair.t1)
+            en = predict(model, low, grid)
             vals = (psnr(en, gt), psnr_star(en, gt), ssim(en, gt))
             sums += np.asarray(vals)
             n_ok += 1
@@ -216,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="flat key = value file")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--bins", type=int, default=None)
-    common.add_argument("--tau", type=float, default=0.5)
+    common.add_argument("--tau", type=float, default=None,
+                        help=f"SNR-mask threshold (inference default {INFER_TAU})")
     common.add_argument("--crop", type=int, default=None)
     common.add_argument("--lambda", dest="lam", type=float, default=None)
 
@@ -303,6 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.tau is None and args.command != "train":
+        args.tau = INFER_TAU
     try:
         resolved = asdict(_train_config(args)) if args.command == "train" else None
         _print_config(args, resolved)

@@ -132,6 +132,23 @@ def infer_architecture(state: dict[str, np.ndarray]) -> tuple[int, int, int]:
             int(state["ev_stem.weight"].shape[-2]))
 
 
+def predict(model: EvLightModel, img: np.ndarray, grid: VoxelGrid) -> np.ndarray:
+    """Enhanced [H,W,3] image in [0,1]; the one inference path.
+
+    Pads the image and grid reflectively to extents divisible by 4, runs
+    the forward pass under ``no_grad``, crops back and clips.
+    """
+    padded, h, w = pad_reflect(img, 4)
+    gdata = grid.data
+    ph, pw = padded.shape[0] - h, padded.shape[1] - w
+    if ph or pw:
+        gdata = np.pad(gdata, ((0, 0), (0, ph), (0, pw)), mode="reflect")
+    pgrid = VoxelGrid(gdata, grid.bins, padded.shape[1], padded.shape[0])
+    with T.no_grad():
+        i_en, _, _ = model.forward(padded, pgrid)
+    return np.clip(i_en.data[:h, :w, :], 0.0, 1.0)
+
+
 def enhance_file(img_path: str, event_path: str, ckpt_path: str,
                  out_path: str, bins: int | None = None, tau: float = 0.5,
                  t0: int | None = None, t1: int | None = None) -> np.ndarray:
@@ -151,18 +168,9 @@ def enhance_file(img_path: str, event_path: str, ckpt_path: str,
     base_channels, heads, ck_bins = infer_architecture(state)
     if bins is not None and bins != ck_bins:
         raise ValueError(f"checkpoint was trained with {ck_bins} bins, not {bins}")
-    grid = voxelize(stream, ck_bins, t0, t1)
-    padded, h, w = pad_reflect(img, 4)
-    gdata = grid.data
-    ph, pw = padded.shape[0] - h, padded.shape[1] - w
-    if ph or pw:
-        gdata = np.pad(gdata, ((0, 0), (0, ph), (0, pw)), mode="reflect")
-    pgrid = VoxelGrid(gdata, ck_bins, padded.shape[1], padded.shape[0])
-
     model = EvLightModel(np.random.default_rng(0), base_channels=base_channels,
                          heads=heads, bins=ck_bins, tau=tau)
     model.load_state(state)
-    i_en, _, _ = model.forward(padded, pgrid)
-    out = np.clip(i_en.data[:h, :w, :], 0.0, 1.0)
+    out = predict(model, img, voxelize(stream, ck_bins, t0, t1))
     write_image(out_path, out)
     return out

@@ -7,10 +7,12 @@ and per-pixel scaling). Broadcasting beyond those cases is rejected so the
 substrate stays auditable.
 
 Values are float64 throughout and must stay finite; any op that produces
-NaN/Inf raises :class:`NonFiniteError`.
+NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
+record no graph, so inference keeps no backward buffers alive.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Sequence
 
@@ -97,13 +99,28 @@ class Parameter(Tensor):
         self.name = name
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which op results keep neither parents nor backward closures."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], None]) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -449,8 +466,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # spatial ops
 # ---------------------------------------------------------------------------
 
+def _mec(xp: np.ndarray, wrows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 correlation of [Hp,Wp,Cin] with [k, k*Cin, Cout] kernel rows.
+
+    MEC lowering: unfold along the width only, into u = [Hp*Wout, k*Cin]
+    (row h*Wout + wo holds xp[h, wo:wo+k]; for k = 1 a reshape, not a copy).
+    Kernel row ki reads the Hout*Wout rows of u that start at ki*Wout, so
+    the output is a sum of k row-shifted GEMMs. Returns (out, u).
+    """
+    k = wrows.shape[0]
+    hp, wp, c = xp.shape
+    wout = wp - k + 1
+    n = (hp - k + 1) * wout
+    sh, sw, sc = xp.strides
+    strips = np.lib.stride_tricks.as_strided(
+        xp, shape=(hp, wout, k, c), strides=(sh, sw, sw, sc), writeable=False)
+    u = np.ascontiguousarray(strips).reshape(hp * wout, k * c)
+    out = u[:n] @ wrows[0]
+    for ki in range(1, k):
+        out += u[ki * wout:ki * wout + n] @ wrows[ki]
+    return out, u
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D correlation on [H,W,Cin] with a [k,k,Cin,Cout] kernel."""
+    """2-D correlation on [H,W,Cin] with a [k,k,Cin,Cout] kernel.
+
+    Stride 1 is lowered MEC-style (width-only unfold, k row-shifted GEMMs;
+    the input gradient is the same lowering of the gradient with the
+    flipped kernel). Stride 2 uses im2col + GEMM and a col2im scatter.
+    """
     if x.ndim != 3:
         raise ShapeError("conv2d", "all", "[H,W,Cin] input", x.shape)
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
@@ -470,6 +514,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     wout = (wd + 2 * padding - k) // stride + 1
     xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0))) \
         if padding else x.data
+    if stride == 1:
+        return _conv2d_mec(x, w, b, xp, padding, hout, wout)
     cols = _k.im2col(xp, k, stride, hout, wout)
     wmat = w.data.reshape(k * k * cin, cout)
     out = (cols @ wmat + b.data).reshape(hout, wout, cout)
@@ -489,6 +535,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             _accum(x, gp)
 
     return _result(out, "conv2d", (x, w, b), back)
+
+
+def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, xp: np.ndarray, padding: int,
+                hout: int, wout: int) -> Tensor:
+    k, _, cin, cout = w.shape
+    out, u = _mec(xp, w.data.reshape(k, k * cin, cout))
+    out += b.data
+
+    def back(g, x=x, w=w, b=b, u=u):
+        gmat = g.reshape(-1, cout)
+        if w.requires_grad:
+            n = hout * wout
+            gw = np.stack([u[ki * wout:ki * wout + n].T @ gmat for ki in range(k)])
+            _accum(w, gw.reshape(w.shape))
+        if b.requires_grad:
+            _accum(b, gmat.sum(axis=0))
+        if x.requires_grad:
+            # full correlation with the flipped kernel; padding g by k-1-p
+            # (cropping when negative) lands it on x's extent directly
+            q = k - 1 - padding
+            gq = np.pad(g, ((q, q), (q, q), (0, 0))) if q > 0 else \
+                g[-q:g.shape[0] + q, -q:g.shape[1] + q]
+            wf = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k, k * cout, cin)
+            _accum(x, _mec(gq, wf)[0].reshape(x.shape))
+
+    return _result(out.reshape(hout, wout, cout), "conv2d", (x, w, b), back)
 
 
 def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

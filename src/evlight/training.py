@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .events import VoxelGrid, read_events, transform_grid, voxelize
+from .events import VoxelGrid, read_events, voxelize
 from .image import read_image
 from .model import EvLightModel
 from .module import save_checkpoint

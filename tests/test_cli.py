@@ -8,7 +8,9 @@ import pytest
 from evlight.cli import main
 from evlight.events import read_events, simulate_events, voxelize, write_events
 from evlight.image import read_image, write_image
+from evlight.lightup import light_up
 from evlight.model import EvLightModel
+from evlight.tensor import Tensor
 
 
 def _write_scene(tmp_path, rng, size=32):
@@ -76,6 +78,20 @@ class TestLightupAndSnr:
         assert main(["lightup", "--image", low_path, "--ckpt", ckpt,
                      "--out", out]) == 0
         assert read_image(out).shape == (32, 32, 3)
+
+    def test_lightup_matches_model_estimator(self, tmp_path, rng):
+        low_path, _ = _write_scene(tmp_path, rng)
+        model = EvLightModel(np.random.default_rng(1), base_channels=4, bins=4)
+        for p in model.estimator.parameters():
+            p.data = rng.standard_normal(p.data.shape) * 0.1
+        ckpt = str(tmp_path / "m.evlt")
+        model.save(ckpt)
+        out = str(tmp_path / "lu.pfm")
+        assert main(["lightup", "--image", low_path, "--ckpt", ckpt,
+                     "--out", out]) == 0
+        i_lu, _ = light_up(Tensor(read_image(low_path)), model.estimator)
+        want = np.clip(i_lu.data, 0.0, 1.0).astype(np.float32)
+        assert np.array_equal(read_image(out), want.astype(np.float64))
 
     def test_snr_map_outputs(self, tmp_path, rng, capsys):
         low_path, _ = _write_scene(tmp_path, rng)
@@ -215,6 +231,23 @@ class TestParser:
     def test_missing_required_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["voxelize", "--out", "x.npy"])
+
+    def test_tau_from_config_file_is_honoured(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("tau = 0.3\nlr = 2e-3\n")
+        missing = str(tmp_path / "missing.txt")
+        # the echo comes first; the absent manifest then fails the run
+        assert main(["train", "--manifest", missing, "--out-dir",
+                     str(tmp_path / "run"), "--config", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "  tau = 0.3\n" in out and "  lr = 0.002\n" in out
+        assert main(["train", "--manifest", missing, "--out-dir",
+                     str(tmp_path / "run"), "--config", str(cfg),
+                     "--tau", "0.7"]) == 1
+        assert "  tau = 0.7\n" in capsys.readouterr().out
+        assert main(["eval", "--manifest", missing, "--ckpt", "m.evlt",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert "  tau = 0.5\n" in capsys.readouterr().out
 
     def test_config_echo_is_sorted(self, tmp_path, capsys):
         main(["fixtures", "--out-dir", str(tmp_path / "d"), "--count", "1",

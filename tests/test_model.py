@@ -76,6 +76,29 @@ class TestForward:
         out2 = model.forward(img, grid)[0].data
         assert np.array_equal(out1, out2)
 
+    def test_no_grad_forward_is_bit_identical_and_tape_free(self, rng, monkeypatch):
+        model = _small_model()
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.data.shape) * 0.1
+        img = rng.uniform(0.0, 0.3, (16, 16, 3))
+        grid = _grid(rng, 4, 16, 16)
+        ref = model.forward(img, grid)[0].data
+        made = []
+        real = T._result
+
+        def spy(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(T, "_result", spy)
+        with T.no_grad():
+            out = model.forward(img, grid)[0]
+        assert np.array_equal(out.data, ref)
+        assert made
+        for t in made:
+            assert not t.requires_grad
+            assert t._parents == () and t._backward is None
+
 
 class TestForwardValidation:
     def test_extents_not_divisible_by_four(self, rng):

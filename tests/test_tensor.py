@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from evlight import _kernels as _k
 from evlight import tensor as T
 from evlight.tensor import NonFiniteError, Parameter, ShapeError, Tensor
 
@@ -194,6 +195,26 @@ class TestMatmulAndShaping:
             T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1)
 
 
+def _im2col_conv_reference(x, w, b, padding, gy):
+    """Stride-1 conv via im2col + GEMM; input gradient via col2im.
+
+    Returns (output, x-grad, w-grad, b-grad) for the loss sum(output * gy).
+    """
+    k, _, cin, cout = w.shape
+    h, wd = x.shape[:2]
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    hout, wout = hp - k + 1, wp - k + 1
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    cols = _k.im2col(xp, k, 1, hout, wout)
+    wmat = w.reshape(k * k * cin, cout)
+    gmat = gy.reshape(-1, cout)
+    gxp = _k.col2im(np.ascontiguousarray(gmat @ wmat.T), k, 1, hp, wp, cin,
+                    hout, wout)
+    return ((cols @ wmat + b).reshape(hout, wout, cout),
+            gxp[padding:padding + h, padding:padding + wd],
+            (cols.T @ gmat).reshape(w.shape), gmat.sum(axis=0))
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         x = Tensor(np.array([[[2.0]]]))
@@ -218,12 +239,29 @@ class TestConv2d:
             assert y.shape == (8, 8, 3)
 
     def test_grad_vs_fd(self, rng):
-        x = rand_tensor(rng, (8, 8, 2))
-        w = rand_tensor(rng, (3, 3, 2, 3), scale=0.3)
-        b = rand_tensor(rng, (3,))
-        fd_gradcheck(lambda x, w, b: T.mean(
-            T.mul(T.conv2d(x, w, b, 1, 1), T.conv2d(x, w, b, 1, 1))),
-            [x, w, b], tol=1e-6)
+        # padding 1 on a 1x1 kernel crops the gradient instead of padding it
+        for k, padding in ((3, 1), (1, 0), (1, 1), (3, 0), (5, 2)):
+            x = rand_tensor(rng, (8, 7, 2))
+            w = rand_tensor(rng, (k, k, 2, 3), scale=0.3)
+            b = rand_tensor(rng, (3,))
+            fd_gradcheck(lambda x, w, b: T.mean(
+                T.mul(T.conv2d(x, w, b, 1, padding), T.conv2d(x, w, b, 1, padding))),
+                [x, w, b], tol=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("h,wd,cin,cout", [(7, 9, 3, 5), (5, 11, 4, 2)])
+    def test_stride1_matches_im2col_reference(self, rng, k, padding, h, wd, cin, cout):
+        x = rand_tensor(rng, (h, wd, cin))
+        w = rand_tensor(rng, (k, k, cin, cout))
+        b = rand_tensor(rng, (cout,))
+        y = T.conv2d(x, w, b, 1, padding)
+        gy = rng.standard_normal(y.shape)
+        T.backward(T.tsum(T.mul(y, Tensor(gy))))
+        ref = _im2col_conv_reference(x.data, w.data, b.data, padding, gy)
+        for got, want in zip((y.data, x.grad, w.grad, b.grad), ref):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stride2_grad(self, rng):
         x = rand_tensor(rng, (8, 8, 2))
@@ -356,3 +394,25 @@ class TestCompositeChain:
             return T.mean(T.mul(y, y))
 
         fd_gradcheck(build, [x, w, b, g, be], tol=1e-6)
+
+
+class TestNoGrad:
+    def test_restored_after_nesting_and_exception(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.mul(x, 2.0).requires_grad
+        assert T.mul(x, 2.0).requires_grad
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("boom")
+        y = T.mul(x, 2.0)
+        assert y.requires_grad and y._parents == (x,)
+
+    def test_nonfinite_still_raised(self):
+        x = Tensor(np.array([1e308]), requires_grad=True)
+        with T.no_grad(), np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError):
+                T.mul(x, 10.0)
+        assert T.mul(x, 1.0).requires_grad
