@@ -205,22 +205,29 @@ def _cmd_fixtures(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one shared flag."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*names, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key = value file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--bins", type=int, default=None)
-    common.add_argument("--tau", type=float, default=None,
-                        help=f"SNR-mask threshold (inference default {INFER_TAU})")
-    common.add_argument("--crop", type=int, default=None)
-    common.add_argument("--lambda", dest="lam", type=float, default=None)
+    # each subcommand takes only the shared flags its body reads
+    config = _flag("--config", default=None, help="flat key = value file")
+    seed = _flag("--seed", type=int, default=None)
+    bins = _flag("--bins", type=int, default=None)
+    tau = _flag("--tau", type=float, default=None,
+                help=f"SNR-mask threshold (inference default {INFER_TAU})")
+    crop = _flag("--crop", type=int, default=None)
+    lam = _flag("--lambda", dest="lam", type=float, default=None)
 
     parser = argparse.ArgumentParser(
         prog="evlight",
         description="Event-guided low-light image enhancement pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("voxelize", parents=[common],
+    p = sub.add_parser("voxelize", parents=[bins],
                        help="accumulate an event file into a voxel grid (.npy)")
     p.add_argument("--events", required=True)
     p.add_argument("--out", required=True)
@@ -228,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=int, default=None)
     p.set_defaults(func=_cmd_voxelize)
 
-    p = sub.add_parser("simulate-events", parents=[common],
+    p = sub.add_parser("simulate-events",
                        help="emit events from a frame pair's log changes")
     p.add_argument("--frame-a", required=True)
     p.add_argument("--frame-b", required=True)
@@ -238,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate_events)
 
-    p = sub.add_parser("lightup", parents=[common],
+    p = sub.add_parser("lightup", parents=[seed],
                        help="write the light-up image for an input")
     p.add_argument("--image", required=True)
     p.add_argument("--ckpt", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lightup)
 
-    p = sub.add_parser("snr-map", parents=[common],
+    p = sub.add_parser("snr-map", parents=[tau],
                        help="write SNR norm (PFM) and binary mask (PGM)")
     p.add_argument("--image", required=True)
     p.add_argument("--kernel", type=int, default=5)
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-binary", required=True)
     p.set_defaults(func=_cmd_snr_map)
 
-    p = sub.add_parser("enhance", parents=[common],
+    p = sub.add_parser("enhance", parents=[bins, tau],
                        help="enhance one image with its event file")
     p.add_argument("--image", required=True)
     p.add_argument("--events", required=True)
@@ -261,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_enhance)
 
-    p = sub.add_parser("train", parents=[common], help="run the training loop")
+    p = sub.add_parser("train", parents=[config, seed, bins, tau, crop, lam],
+                       help="run the training loop")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--lr", type=float, default=None)
@@ -270,21 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[bins, tau],
                        help="score a checkpoint over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("align-match", parents=[common],
+    p = sub.add_parser("align-match",
                        help="pair low/normal sequences by interval error")
     p.add_argument("--meta", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=int, default=10_000)
     p.set_defaults(func=_cmd_align_match)
 
-    p = sub.add_parser("fixtures", parents=[common],
+    p = sub.add_parser("fixtures", parents=[seed],
                        help="generate a synthetic paired corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=int, default=2)
@@ -298,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tau is None and args.command != "train":
+    if args.command != "train" and "tau" in args and args.tau is None:
         args.tau = INFER_TAU
     try:
         resolved = asdict(_train_config(args)) if args.command == "train" else None

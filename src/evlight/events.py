@@ -291,20 +291,17 @@ def simulate_events(frame_a: np.ndarray, frame_b: np.ndarray,
     counts = np.floor(np.abs(delta) / theta + 1e-9).astype(np.int64)
     signs = np.where(delta >= 0, 1, -1).astype(np.int64)
     h, w = ga.shape
-    ts, xs, ys, ps = [], [], [], []
-    span = t_b - t_a
-    yy, xx = np.nonzero(counts)
-    for yi, xi in zip(yy, xx):
-        n = int(counts[yi, xi])
-        s = int(signs[yi, xi])
-        for i in range(n):
-            ts.append(t_a + ((i + 1) * span) // n)
-            xs.append(int(xi))
-            ys.append(int(yi))
-            ps.append(s)
-    if ts:
-        order = np.lexsort((np.asarray(xs), np.asarray(ys), np.asarray(ts)))
-        arr = np.asarray([ts, xs, ys, ps], dtype=np.int64)[:, order]
-        return EventStream(w, h, arr[0], arr[1], arr[2], arr[3])
-    z = np.zeros(0, dtype=np.int64)
-    return EventStream(w, h, z, z, z, z)
+    # events in row-major pixel order; k is each one's 1-based index at its pixel
+    flat = np.flatnonzero(counts)
+    n = counts.ravel()[flat]
+    pix = np.repeat(flat, n)
+    k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(n) - n, n)
+    # t_a + k*span//n, split so that no int64 intermediate exceeds span or n^2
+    n = np.repeat(n, n)
+    q, r = np.divmod(t_b - t_a, n)
+    t = t_a + k * q + (k * r) // n
+    # stable on t keeps pixel order among ties, i.e. sorted by (t, y, x)
+    order = np.argsort(t, kind="stable")
+    pix = pix[order]
+    y, x = np.divmod(pix, w)
+    return EventStream(w, h, t[order], x, y, signs.ravel()[pix])

@@ -135,9 +135,12 @@ def infer_architecture(state: dict[str, np.ndarray]) -> tuple[int, int, int]:
 def predict(model: EvLightModel, img: np.ndarray, grid: VoxelGrid) -> np.ndarray:
     """Enhanced [H,W,3] image in [0,1]; the one inference path.
 
-    Pads the image and grid reflectively to extents divisible by 4, runs
-    the forward pass under ``no_grad``, crops back and clips.
+    Repeats a one-channel [H,W,1] image to RGB, pads the image and grid
+    reflectively to extents divisible by 4, runs the forward pass under
+    ``no_grad``, crops back and clips.
     """
+    if img.ndim == 3 and img.shape[2] == 1:
+        img = np.repeat(img, 3, axis=2)
     padded, h, w = pad_reflect(img, 4)
     gdata = grid.data
     ph, pw = padded.shape[0] - h, padded.shape[1] - w
@@ -158,8 +161,6 @@ def enhance_file(img_path: str, event_path: str, ckpt_path: str,
     ``bins`` is only a cross-check against it.
     """
     img = read_image(img_path)
-    if img.shape[2] == 1:
-        img = np.repeat(img, 3, axis=2)
     stream = read_events(event_path)
     if (stream.height, stream.width) != img.shape[:2]:
         raise ValueError(f"sensor {stream.height}x{stream.width} does not match "

@@ -165,6 +165,26 @@ class TestTrainEval:
         assert ",error,error," in lines[2]
         assert "1/2 rows ok" in capsys.readouterr().out
 
+    def test_eval_accepts_grayscale_low(self, tmp_path, capsys):
+        # enhance repeats a one-channel low to RGB; eval must do the same
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "1", "--size", "32"])
+        data = tmp_path / "data"
+        low = read_image(str(data / "scene_0" / "low.ppm"))
+        write_image(str(data / "scene_0" / "low.pgm"), low.mean(axis=2))
+        man_path = data / "manifest.txt"
+        man_path.write_text(man_path.read_text().replace("low.ppm", "low.pgm"))
+        ckpt = str(tmp_path / "m.evlt")
+        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        out_csv = str(tmp_path / "scores.csv")
+        assert main(["eval", "--manifest", str(man_path), "--ckpt", ckpt,
+                     "--out", out_csv]) == 0
+        lines = open(out_csv).read().strip().splitlines()
+        assert lines[1].split(",")[0].endswith("low.pgm")
+        psnr_v, psnr_star_v, ssim_v = map(float, lines[1].split(",")[1:])
+        assert psnr_v > 0 and -1 <= ssim_v <= 1
+        assert "1/1 rows ok" in capsys.readouterr().out
+
     def test_eval_empty_manifest_exits_one(self, tmp_path, capsys):
         man = tmp_path / "m.txt"
         man.write_text("# empty\n")
@@ -231,6 +251,22 @@ class TestParser:
     def test_missing_required_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["voxelize", "--out", "x.npy"])
+
+    @pytest.mark.parametrize("argv", [
+        ["enhance", "--image", "i.ppm", "--events", "e.evst", "--ckpt", "m.evlt",
+         "--out", "o.ppm", "--crop", "64"],
+        ["enhance", "--image", "i.ppm", "--events", "e.evst", "--ckpt", "m.evlt",
+         "--out", "o.ppm", "--config", "f"],
+        ["eval", "--manifest", "m.txt", "--ckpt", "m.evlt", "--out", "s.csv",
+         "--lambda", "3"],
+        ["snr-map", "--image", "i.ppm", "--out-norm", "n.pfm",
+         "--out-binary", "b.pgm", "--seed", "9"],
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_tau_from_config_file_is_honoured(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"

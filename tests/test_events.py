@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from evlight.events import (Event, EventFormatError, EventStream, VoxelGrid,
                             read_events, simulate_events, transform_grid,
                             voxelize, write_events)
+from evlight.fixtures import make_scene
 
 
 def _stream(width, height, rows):
@@ -228,11 +229,82 @@ class TestEventIO:
             read_events(str(p))
 
 
+def _simulate_loop(frame_a, frame_b, t_a, t_b, theta):
+    """Reference simulator: one Python-int timestamp per event, then a
+    (t, y, x) lexsort."""
+    def gray(f):
+        f = np.asarray(f, dtype=np.float64)
+        if f.ndim == 2:
+            return f
+        return f[:, :, 0] if f.shape[2] == 1 else f @ np.array([0.299, 0.587, 0.114])
+
+    ga, gb = gray(frame_a), gray(frame_b)
+    delta = np.log(np.maximum(gb, 1e-3)) - np.log(np.maximum(ga, 1e-3))
+    counts = np.floor(np.abs(delta) / theta + 1e-9).astype(np.int64)
+    signs = np.where(delta >= 0, 1, -1).astype(np.int64)
+    h, w = ga.shape
+    ts, xs, ys, ps = [], [], [], []
+    span = t_b - t_a
+    yy, xx = np.nonzero(counts)
+    for yi, xi in zip(yy, xx):
+        n = int(counts[yi, xi])
+        for i in range(n):
+            ts.append(t_a + ((i + 1) * span) // n)
+            xs.append(int(xi))
+            ys.append(int(yi))
+            ps.append(int(signs[yi, xi]))
+    if ts:
+        order = np.lexsort((np.asarray(xs), np.asarray(ys), np.asarray(ts)))
+        arr = np.asarray([ts, xs, ys, ps], dtype=np.int64)[:, order]
+        return EventStream(w, h, arr[0], arr[1], arr[2], arr[3])
+    z = np.zeros(0, dtype=np.int64)
+    return EventStream(w, h, z, z, z, z)
+
+
+def _assert_same_stream(got, want):
+    assert (got.width, got.height) == (want.width, want.height)
+    for f in "txyp":
+        a, b = getattr(got, f), getattr(want, f)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f
+
+
 class TestSimulator:
+    # the parity tests: the whole-array simulator emits _simulate_loop's
+    # stream bit for bit
+    @pytest.mark.parametrize("size", [64, 96, 144])
+    def test_parity_fixture_scenes(self, size):
+        a, b = make_scene(np.random.default_rng(size), size)
+        s = simulate_events(a, b, 0, 100_000, 0.15)
+        assert len(s) > 0
+        _assert_same_stream(s, _simulate_loop(a, b, 0, 100_000, 0.15))
+
+    @pytest.mark.parametrize("shape", [(7, 9), (7, 9, 1), (7, 9, 3)])
+    def test_parity_frame_layouts(self, rng, shape):
+        a = rng.uniform(0.02, 0.9, shape)
+        b = rng.uniform(0.02, 0.9, shape)
+        _assert_same_stream(simulate_events(a, b, 100, 5000, 0.1),
+                            _simulate_loop(a, b, 100, 5000, 0.1))
+
+    def test_parity_span_shorter_than_count(self, rng):
+        a = rng.uniform(0.02, 0.1, (6, 8, 3))
+        b = np.clip(a * 8, 0, 1)
+        s = simulate_events(a, b, 10, 13, 0.2)
+        assert np.any(np.diff(s.t) == 0)
+        _assert_same_stream(s, _simulate_loop(a, b, 10, 13, 0.2))
+
+    def test_parity_huge_span_does_not_overflow(self):
+        # 2 events per pixel: a naive int64 (i+1)*span wraps at span 2**62
+        a = np.full((3, 4), 0.1)
+        a[1, 2] = 0.2
+        s = simulate_events(a, a * 4, 0, 2**62, np.log(2.0))
+        assert len(s) == 24 and s.t.max() == 2**62
+        _assert_same_stream(s, _simulate_loop(a, a * 4, 0, 2**62, np.log(2.0)))
+
     def test_static_scene_empty(self):
         f = np.full((6, 6, 3), 0.4)
         s = simulate_events(f, f, 0, 1000, 0.2)
         assert len(s) == 0
+        _assert_same_stream(s, _simulate_loop(f, f, 0, 1000, 0.2))
 
     def test_doubling_gives_one_event_per_pixel(self):
         a = np.full((5, 5, 3), 0.2)
