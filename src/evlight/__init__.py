@@ -3,19 +3,17 @@
 A numpy-based implementation of an SNR-guided fusion pipeline: events are
 voxelized into temporal bins, a learned light-up stage brightens the
 input, and a UNet-like network fuses image and event features under a
-signal-to-noise-ratio trust map. Hot kernels run under numba when
-available; set EVLIGHT_BACKEND=numpy to force the pure-numpy fallback.
+signal-to-noise-ratio trust map. The hot kernels are plain numpy.
 """
 from ._kernels import BACKEND
 from .alignment import AlignReport, MatchResult, SequenceMeta, align_report, interval, match
 from .events import (Event, EventFormatError, EventStream, VoxelGrid,
-                     read_events, simulate_events, transform_grid, voxelize,
-                     write_events)
+                     read_events, simulate_events, voxelize, write_events)
 from .image import (ImageFormatError, pad_reflect, psnr, psnr_star,
                     read_image, ssim, to_gray, write_image)
 from .lightup import (LightUpEstimator, SnrMap, illumination_prior, light_up,
                       snr_map, snr_pyramid)
-from .blocks import BlockConfig, EcaResidual, Hfe, Hrf, RegionalSelect
+from .blocks import EcaResidual, Hfe, Hrf, RegionalSelect
 from .model import EvLightModel, enhance_file, infer_architecture
 from .module import (CheckpointError, Module, load_checkpoint, save_checkpoint)
 from .tensor import NonFiniteError, Parameter, ShapeError, Tensor, backward
@@ -33,12 +31,11 @@ __all__ = [
     "Module", "CheckpointError", "save_checkpoint", "load_checkpoint",
     "Event", "EventStream", "VoxelGrid", "EventFormatError",
     "voxelize", "read_events", "write_events", "simulate_events",
-    "transform_grid",
     "ImageFormatError", "to_gray", "psnr", "ssim", "psnr_star",
     "read_image", "write_image", "pad_reflect",
     "LightUpEstimator", "SnrMap", "illumination_prior", "light_up",
     "snr_map", "snr_pyramid",
-    "BlockConfig", "EcaResidual", "RegionalSelect", "Hfe", "Hrf",
+    "EcaResidual", "RegionalSelect", "Hfe", "Hrf",
     "EvLightModel", "enhance_file", "infer_architecture",
     "charbonnier", "perceptual", "total_loss", "RandomConvFeatures",
     "adam_step", "Adam", "clip_grad_norm", "augment", "train",

@@ -1,43 +1,17 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops of the convolutions, the voxel deposit and the box filter.
 
-Every kernel has two implementations: a numba ``@njit`` version and a pure
-numpy version. The active set is chosen once at import time from the
-``EVLIGHT_BACKEND`` environment variable ("numba" or "numpy"; default is
-numba when importable). Both backends produce identical shapes and agree to
-floating-point roundoff; each is individually deterministic run-to-run.
-
-``benchmarks/bench_kernels.py`` times the two sets against each other.
+Each kernel is plain numpy and deterministic run to run. Callers reach them
+through the module (``_k.col2im(...)``) so a test can substitute one.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_requested = os.environ.get("EVLIGHT_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"EVLIGHT_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-if _requested == "numpy":
-    _njit = None
-else:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _njit = None
-
-BACKEND = "numpy" if _njit is None else "numba"
+# the kernels are numpy only; kept because run metadata records it
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _im2col_np(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
+def im2col(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
     sh, sw, sc = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp,
@@ -48,8 +22,8 @@ def _im2col_np(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.
     return np.ascontiguousarray(windows).reshape(hout * wout, k * k * xp.shape[2])
 
 
-def _col2im_np(colsg: np.ndarray, k: int, stride: int, hp: int, wp: int,
-               c: int, hout: int, wout: int) -> np.ndarray:
+def col2im(colsg: np.ndarray, k: int, stride: int, hp: int, wp: int,
+           c: int, hout: int, wout: int) -> np.ndarray:
     g5 = colsg.reshape(hout, wout, k, k, c)
     gp = np.zeros((hp, wp, c), dtype=np.float64)
     for ki in range(k):
@@ -58,7 +32,7 @@ def _col2im_np(colsg: np.ndarray, k: int, stride: int, hp: int, wp: int,
     return gp
 
 
-def _dwconv_forward_np(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+def dwconv_forward(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     k = w.shape[0]
     h = xp.shape[0] - k + 1
     wd = xp.shape[1] - k + 1
@@ -69,7 +43,7 @@ def _dwconv_forward_np(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dwconv_grad_weight_np(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+def dwconv_grad_weight(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     h, wd, c = g.shape
     gw = np.zeros((k, k, c), dtype=np.float64)
     for ki in range(k):
@@ -78,7 +52,7 @@ def _dwconv_grad_weight_np(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     return gw
 
 
-def _dwconv_grad_input_np(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+def dwconv_grad_input(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     k = w.shape[0]
     h, wd, c = g.shape
     gp = np.zeros((h + k - 1, wd + k - 1, c), dtype=np.float64)
@@ -88,9 +62,9 @@ def _dwconv_grad_input_np(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return gp
 
 
-def _voxel_deposit_np(flat: np.ndarray, tstar: np.ndarray, xs: np.ndarray,
-                      ys: np.ndarray, ps: np.ndarray, bins: int,
-                      height: int, width: int) -> None:
+def voxel_deposit(flat: np.ndarray, tstar: np.ndarray, xs: np.ndarray,
+                  ys: np.ndarray, ps: np.ndarray, bins: int,
+                  height: int, width: int) -> None:
     b0 = np.floor(tstar).astype(np.int64)
     frac = tstar - b0
     base = ys * width + xs
@@ -101,130 +75,8 @@ def _voxel_deposit_np(flat: np.ndarray, tstar: np.ndarray, xs: np.ndarray,
     np.add.at(flat, b1[right] * height * width + base[right], ps[right] * frac[right])
 
 
-def _box_filter_np(img: np.ndarray, k: int) -> np.ndarray:
+def box_filter(img: np.ndarray, k: int) -> np.ndarray:
     r = k // 2
     xp = np.pad(img, r, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k))
     return windows.mean(axis=(2, 3))
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _njit is not None:
-
-    @_njit(cache=True)
-    def _im2col_nb(xp, k, stride, hout, wout):  # pragma: no cover - numba
-        c = xp.shape[2]
-        cols = np.empty((hout * wout, k * k * c), dtype=np.float64)
-        for ho in range(hout):
-            for wo in range(wout):
-                row = ho * wout + wo
-                for ki in range(k):
-                    for kj in range(k):
-                        off = (ki * k + kj) * c
-                        for ch in range(c):
-                            cols[row, off + ch] = xp[ho * stride + ki, wo * stride + kj, ch]
-        return cols
-
-    @_njit(cache=True)
-    def _col2im_nb(colsg, k, stride, hp, wp, c, hout, wout):  # pragma: no cover - numba
-        gp = np.zeros((hp, wp, c), dtype=np.float64)
-        for ho in range(hout):
-            for wo in range(wout):
-                row = ho * wout + wo
-                for ki in range(k):
-                    for kj in range(k):
-                        off = (ki * k + kj) * c
-                        for ch in range(c):
-                            gp[ho * stride + ki, wo * stride + kj, ch] += colsg[row, off + ch]
-        return gp
-
-    @_njit(cache=True)
-    def _dwconv_forward_nb(xp, w):  # pragma: no cover - numba
-        k = w.shape[0]
-        h = xp.shape[0] - k + 1
-        wd = xp.shape[1] - k + 1
-        c = xp.shape[2]
-        out = np.zeros((h, wd, c), dtype=np.float64)
-        for i in range(h):
-            for j in range(wd):
-                for ki in range(k):
-                    for kj in range(k):
-                        for ch in range(c):
-                            out[i, j, ch] += xp[i + ki, j + kj, ch] * w[ki, kj, ch]
-        return out
-
-    @_njit(cache=True)
-    def _dwconv_grad_weight_nb(xp, g, k):  # pragma: no cover - numba
-        h, wd, c = g.shape
-        gw = np.zeros((k, k, c), dtype=np.float64)
-        for i in range(h):
-            for j in range(wd):
-                for ki in range(k):
-                    for kj in range(k):
-                        for ch in range(c):
-                            gw[ki, kj, ch] += xp[i + ki, j + kj, ch] * g[i, j, ch]
-        return gw
-
-    @_njit(cache=True)
-    def _dwconv_grad_input_nb(g, w):  # pragma: no cover - numba
-        k = w.shape[0]
-        h, wd, c = g.shape
-        gp = np.zeros((h + k - 1, wd + k - 1, c), dtype=np.float64)
-        for i in range(h):
-            for j in range(wd):
-                for ki in range(k):
-                    for kj in range(k):
-                        for ch in range(c):
-                            gp[i + ki, j + kj, ch] += g[i, j, ch] * w[ki, kj, ch]
-        return gp
-
-    @_njit(cache=True)
-    def _voxel_deposit_nb(flat, tstar, xs, ys, ps, bins, height, width):  # pragma: no cover
-        plane = height * width
-        for i in range(tstar.shape[0]):
-            b0 = int(np.floor(tstar[i]))
-            frac = tstar[i] - b0
-            base = ys[i] * width + xs[i]
-            if 0 <= b0 < bins:
-                flat[b0 * plane + base] += ps[i] * (1.0 - frac)
-            b1 = b0 + 1
-            if 0 <= b1 < bins and frac > 0.0:
-                flat[b1 * plane + base] += ps[i] * frac
-
-    @_njit(cache=True)
-    def _box_filter_nb(img, k):  # pragma: no cover - numba
-        h, w = img.shape
-        r = k // 2
-        out = np.empty((h, w), dtype=np.float64)
-        inv = 1.0 / (k * k)
-        for i in range(h):
-            for j in range(w):
-                acc = 0.0
-                for di in range(-r, r + 1):
-                    for dj in range(-r, r + 1):
-                        ii = min(max(i + di, 0), h - 1)
-                        jj = min(max(j + dj, 0), w - 1)
-                        acc += img[ii, jj]
-                out[i, j] = acc * inv
-        return out
-
-
-if BACKEND == "numba":
-    im2col = _im2col_nb
-    col2im = _col2im_nb
-    dwconv_forward = _dwconv_forward_nb
-    dwconv_grad_weight = _dwconv_grad_weight_nb
-    dwconv_grad_input = _dwconv_grad_input_nb
-    voxel_deposit = _voxel_deposit_nb
-    box_filter = _box_filter_nb
-else:
-    im2col = _im2col_np
-    col2im = _col2im_np
-    dwconv_forward = _dwconv_forward_np
-    dwconv_grad_weight = _dwconv_grad_weight_np
-    dwconv_grad_input = _dwconv_grad_input_np
-    voxel_deposit = _voxel_deposit_np
-    box_filter = _box_filter_np

@@ -16,28 +16,11 @@ it can grow against instead of accumulated residual noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .module import Conv2d, DwConv2d, LayerNorm, Module
 from .tensor import Parameter, ShapeError
-
-
-@dataclass(frozen=True)
-class BlockConfig:
-    base_channels: int = 16
-    scales: int = 3
-    heads: int = 2
-    eca_kernel: int = 3
-
-    def __post_init__(self):
-        if self.base_channels % self.heads:
-            raise ValueError("base_channels must divide evenly by heads")
-
-    def channels(self, scale: int) -> int:
-        return self.base_channels * (2 ** scale)
 
 
 class EcaResidual(Module):

@@ -72,7 +72,8 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 def _cmd_voxelize(args) -> int:
     stream = read_events(args.events)
-    grid = voxelize(stream, args.bins or 32, args.t0, args.t1)
+    grid = voxelize(stream, 32 if args.bins is None else args.bins,
+                    args.t0, args.t1)
     np.save(args.out, grid.data)
     log.info("voxelized %d events into %d bins, mass %.6f",
              len(stream), grid.bins, grid.total_mass())
@@ -176,7 +177,13 @@ def _cmd_align_match(args) -> int:
     lows, normals = [], []
     with open(args.meta, "r", encoding="utf-8") as f:
         reader = csv.DictReader(f)
+        need = ("id", "condition", "trajectory_start", "first_frame")
+        missing = sorted(set(need) - set(reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"{args.meta}: missing column(s) {', '.join(missing)}")
         for row in reader:
+            if any(row[key] is None for key in need):
+                raise ValueError(f"{args.meta}: line {reader.line_num} has too few fields")
             meta = alignment.SequenceMeta(
                 row["id"], row["condition"].strip(),
                 int(row["trajectory_start"]), int(row["first_frame"]),

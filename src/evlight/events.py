@@ -129,23 +129,6 @@ def voxelize(stream: EventStream, bins: int = 32,
                      bins, stream.width, stream.height)
 
 
-_GRID_OPS = ("rot90", "rot180", "rot270", "hflip")
-
-
-def transform_grid(grid: VoxelGrid, op: str) -> VoxelGrid:
-    """Apply one spatial transform identically to every temporal bin."""
-    if op not in _GRID_OPS:
-        raise ValueError(f"unknown transform {op!r}; expected one of {_GRID_OPS}")
-    if op in ("rot90", "rot270") and grid.height != grid.width:
-        raise ValueError("rot90/rot270 require a square spatial extent")
-    if op == "hflip":
-        data = grid.data[:, :, ::-1]
-    else:
-        k = {"rot90": 1, "rot180": 2, "rot270": 3}[op]
-        data = np.rot90(grid.data, k, axes=(1, 2))
-    return VoxelGrid(np.ascontiguousarray(data), grid.bins, grid.width, grid.height)
-
-
 # ---------------------------------------------------------------------------
 # file IO
 # ---------------------------------------------------------------------------

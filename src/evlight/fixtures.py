@@ -64,6 +64,8 @@ def lowlight_of(frame: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def fixtures(out_dir: str, seed: int, count: int = 2, size: int = 64,
              theta: float = 0.15) -> str:
     """Write ``count`` scenes plus a manifest; returns the manifest path."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     lines = []

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evlight import tensor as T
-from evlight.blocks import (BlockConfig, ChannelAttention, EcaResidual, Hfe,
-                            Hrf, RegionalSelect)
+from evlight.blocks import (ChannelAttention, EcaResidual, Hfe, Hrf,
+                            RegionalSelect)
 from evlight.tensor import ShapeError, Tensor
 
 from helpers import fd_gradcheck, rand_tensor
@@ -16,16 +16,6 @@ def _randomize(module, rng, scale=0.3):
     for p in module.parameters():
         p.data = rng.standard_normal(p.data.shape) * scale
     return module
-
-
-class TestBlockConfig:
-    def test_channels_double_per_scale(self):
-        cfg = BlockConfig()
-        assert [cfg.channels(s) for s in range(3)] == [16, 32, 64]
-
-    def test_head_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            BlockConfig(base_channels=15, heads=2)
 
 
 class TestEcaResidual:

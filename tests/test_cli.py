@@ -44,6 +44,15 @@ class TestVoxelize:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_bins_rejected_not_replaced(self, tmp_path, rng, capsys):
+        _, ev_path = _write_scene(tmp_path, rng)
+        out = tmp_path / "grid.npy"
+        rc = main(["voxelize", "--events", ev_path, "--out", str(out),
+                   "--bins", "0"])
+        assert rc == 1
+        assert "bins must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateEvents:
     def test_round_trip_matches_library(self, tmp_path, rng):
@@ -229,6 +238,24 @@ class TestAlignMatch:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_column_exits_one(self, tmp_path, capsys):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("id,trajectory_start\ns0,0\n")
+        rc = main(["align-match", "--meta", str(meta),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {meta}: missing column(s) condition, first_frame" in err
+
+    def test_short_row_exits_one(self, tmp_path, capsys):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("id,condition,trajectory_start,first_frame\n"
+                        "l0,low,0,10\nn0,normal\n")
+        rc = main(["align-match", "--meta", str(meta),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert f"error: {meta}: line 3 has too few fields" in capsys.readouterr().err
+
 
 class TestFixturesCommand:
     def test_seeded_fixtures_are_bit_identical(self, tmp_path):
@@ -241,6 +268,14 @@ class TestFixturesCommand:
             str(tmp_path / "a"), str(tmp_path / "b"), names, shallow=False)
         assert sorted(match) == sorted(names)
         assert not mismatch and not errors
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exits_one(self, tmp_path, capsys, count):
+        out_dir = tmp_path / "d"
+        rc = main(["fixtures", "--out-dir", str(out_dir), "--count", count])
+        assert rc == 1
+        assert f"count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestParser:

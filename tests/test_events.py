@@ -1,12 +1,12 @@
-"""Event streams: voxelization, IO round-trips, simulator, transforms."""
+"""Event streams: voxelization, IO round-trips, simulator."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evlight.events import (Event, EventFormatError, EventStream, VoxelGrid,
-                            read_events, simulate_events, transform_grid,
-                            voxelize, write_events)
+from evlight.events import (Event, EventFormatError, EventStream,
+                            read_events, simulate_events, voxelize,
+                            write_events)
 from evlight.fixtures import make_scene
 
 
@@ -123,39 +123,6 @@ class TestVoxelize:
         s = _stream(4, 4, [[t, 1, 1, p]])
         g = voxelize(s, bins, 0, 10_000)
         assert abs(g.total_mass() - p) < 1e-12
-
-
-class TestTransformGrid:
-    def _grid(self, rng, size=6, bins=4):
-        return VoxelGrid(rng.standard_normal((bins, size, size)), bins, size, size)
-
-    def test_rot90_four_times_identity(self, rng):
-        g = self._grid(rng)
-        out = g
-        for _ in range(4):
-            out = transform_grid(out, "rot90")
-        assert np.array_equal(out.data, g.data)
-
-    def test_hflip_involution(self, rng):
-        g = self._grid(rng)
-        assert np.array_equal(
-            transform_grid(transform_grid(g, "hflip"), "hflip").data, g.data)
-
-    def test_rot180_is_double_rot90(self, rng):
-        g = self._grid(rng)
-        a = transform_grid(g, "rot180").data
-        b = transform_grid(transform_grid(g, "rot90"), "rot90").data
-        assert np.array_equal(a, b)
-
-    def test_nonsquare_rot90_rejected(self):
-        g = VoxelGrid(np.zeros((2, 3, 4)), 2, 4, 3)
-        with pytest.raises(ValueError, match="square"):
-            transform_grid(g, "rot90")
-        assert transform_grid(g, "hflip").data.shape == (2, 3, 4)
-
-    def test_unknown_op(self, rng):
-        with pytest.raises(ValueError, match="unknown transform"):
-            transform_grid(self._grid(rng), "vflip")
 
 
 class TestEventIO:

@@ -1,8 +1,10 @@
 """Light-up stage and SNR map semantics."""
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from evlight import tensor as T
+from evlight._kernels import box_filter
 from evlight.lightup import (LightUpEstimator, SnrMap, illumination_prior,
                              light_up, snr_map, snr_pyramid)
 
@@ -107,11 +109,19 @@ class TestSnrMap:
         m1 = snr_map(img)
         m2 = snr_map(2.0 * img)
         gray = img @ np.array([0.299, 0.587, 0.114])
-        from evlight._kernels import box_filter
         smooth = box_filter(np.ascontiguousarray(gray), 5)
         ok = np.abs(gray - smooth) > 10 * 1e-4
         assert ok.any()
         assert np.allclose(m1.raw[ok], m2.raw[ok], rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_box_filter_matches_scipy(self, rng, k):
+        # 1x7 and 3x2 are narrower than the larger kernels: edge replication
+        # then reaches past the far border
+        for shape in [(9, 11), (1, 7), (3, 2)]:
+            img = rng.standard_normal(shape)
+            ref = uniform_filter(img, k, mode="nearest")
+            assert np.max(np.abs(box_filter(img, k) - ref)) <= 1e-12
 
     def test_gradient_isolated(self, rng):
         img = T.Tensor(rng.uniform(0.05, 0.3, (8, 8, 3)))
