@@ -32,6 +32,9 @@ log = logging.getLogger("evlight")
 # SNR-mask threshold for inference commands when --tau is not given; train
 # takes tau from --tau, then --config, then TrainConfig
 INFER_TAU = 0.5
+# seed of lightup and fixtures when --seed is not given; train takes its seed
+# from --seed, then --config, then TrainConfig
+DEFAULT_SEED = 0
 
 
 def _setup_logging() -> None:
@@ -93,7 +96,7 @@ def _cmd_simulate_events(args) -> int:
 def _cmd_lightup(args) -> int:
     img = read_image(args.image)
     # built first from the seed, as inside EvLightModel
-    estimator = LightUpEstimator(np.random.default_rng(args.seed or 0))
+    estimator = LightUpEstimator(np.random.default_rng(args.seed))
     if args.ckpt:
         prefix = "estimator."
         estimator.load_state({k[len(prefix):]: v for k, v in
@@ -202,7 +205,7 @@ def _cmd_align_match(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    manifest = make_fixtures(args.out_dir, args.seed or 0,
+    manifest = make_fixtures(args.out_dir, args.seed,
                              count=args.count, size=args.size)
     print(f"wrote {manifest}")
     return 0
@@ -315,6 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command != "train" and "tau" in args and args.tau is None:
         args.tau = INFER_TAU
+    if args.command != "train" and "seed" in args and args.seed is None:
+        args.seed = DEFAULT_SEED
     try:
         resolved = asdict(_train_config(args)) if args.command == "train" else None
         _print_config(args, resolved)

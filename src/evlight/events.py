@@ -135,10 +135,10 @@ def voxelize(stream: EventStream, bins: int = 32,
 
 def write_events(stream: EventStream, path: str) -> None:
     if str(path).endswith(".csv"):
+        rows = np.column_stack([stream.t, stream.x, stream.y, stream.p])
         with open(path, "w", encoding="ascii") as f:
             f.write("t,x,y,p\n")
-            for i in range(len(stream)):
-                f.write(f"{stream.t[i]},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
+            f.write(("%d,%d,%d,%d\n" * len(stream)) % tuple(rows.ravel().tolist()))
         return
     rec = np.zeros(len(stream), dtype=_RECORD)
     rec["t"] = stream.t

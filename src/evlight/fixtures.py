@@ -66,6 +66,8 @@ def fixtures(out_dir: str, seed: int, count: int = 2, size: int = 64,
     """Write ``count`` scenes plus a manifest; returns the manifest path."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if size < 2:
+        raise ValueError(f"size must be >= 2, got {size}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     lines = []

@@ -329,6 +329,8 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
                 loss, ch, pe = total_loss(i_en, gt_a, config.lam, phi)
                 T.backward(loss)
                 batch_vals.append((loss.item(), ch, pe))
+                # free this sample's graph and its gradients before the next forward
+                del i_en, loss
             if config.batch > 1:
                 inv = 1.0 / config.batch
                 for p in params:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from evlight.cli import main
+from evlight.cli import DEFAULT_SEED, main
 from evlight.events import read_events, simulate_events, voxelize, write_events
 from evlight.image import read_image, write_image
 from evlight.lightup import light_up
@@ -277,6 +277,14 @@ class TestFixturesCommand:
         assert f"count must be >= 1, got {count}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("size", ["0", "-8"])
+    def test_size_below_two_exits_one(self, tmp_path, capsys, size):
+        out_dir = tmp_path / "d"
+        rc = main(["fixtures", "--out-dir", str(out_dir), "--size", size])
+        assert rc == 1
+        assert f"size must be >= 2, got {size}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestParser:
     def test_unknown_command_rejected(self):
@@ -319,6 +327,22 @@ class TestParser:
         assert main(["eval", "--manifest", missing, "--ckpt", "m.evlt",
                      "--out", str(tmp_path / "s.csv")]) == 1
         assert "  tau = 0.5\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,out", [
+        (["fixtures", "--out-dir", "d", "--count", "1", "--size", "8"],
+         "d/scene_0/low.ppm"),
+        (["lightup", "--image", "low.ppm", "--out", "lu.ppm"], "lu.ppm"),
+    ])
+    def test_default_seed_is_echoed_as_used(self, tmp_path, capsys, monkeypatch,
+                                            argv, out):
+        monkeypatch.chdir(tmp_path)
+        write_image("low.ppm", np.full((8, 8, 3), 0.2))
+        assert main(argv) == 0
+        assert f"  seed = {DEFAULT_SEED}\n" in capsys.readouterr().out
+        # the echoed seed is the one used: passing it explicitly writes the same file
+        first = (tmp_path / out).read_bytes()
+        assert main(argv + ["--seed", str(DEFAULT_SEED)]) == 0
+        assert (tmp_path / out).read_bytes() == first
 
     def test_config_echo_is_sorted(self, tmp_path, capsys):
         main(["fixtures", "--out-dir", str(tmp_path / "d"), "--count", "1",

@@ -195,6 +195,22 @@ class TestEventIO:
         with pytest.raises(EventFormatError, match="line 3"):
             read_events(str(p))
 
+    def test_csv_write_matches_per_event_loop(self, rng, tmp_path):
+        for n in (0, 1, 500):
+            s = _random_stream(rng, n, tmax=2**40)
+            s = EventStream(s.width, s.height, s.t, s.x, s.y, -s.p)
+            p = tmp_path / f"e{n}.csv"
+            write_events(s, str(p))
+            assert p.read_bytes() == _write_csv_loop(s).encode("ascii")
+
+
+def _write_csv_loop(stream):
+    """Reference CSV text: one formatted line per event."""
+    out = "t,x,y,p\n"
+    for i in range(len(stream)):
+        out += f"{stream.t[i]},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n"
+    return out
+
 
 def _simulate_loop(frame_a, frame_b, t_a, t_b, theta):
     """Reference simulator: one Python-int timestamp per event, then a

@@ -263,6 +263,48 @@ class TestConv2d:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("band", [1, 4])
+    def test_banded_matches_im2col_reference(self, rng, monkeypatch, k, padding, band):
+        # odd heights give odd output heights, so 4-row bands end ragged
+        h, wd, cin, cout = 13, 9, 3, 4
+        wout = wd + 2 * padding - k + 1
+        # room for `band` output rows of the forward unfold, k-1 rows of halo
+        monkeypatch.setattr(T, "_BAND_BYTES", (band + k - 1) * wout * k * cin * 8)
+        rows = []
+        bands = T._bands
+
+        def spy(xp, kk):
+            for h0, r, u in bands(xp, kk):
+                rows.append(r)
+                yield h0, r, u
+
+        monkeypatch.setattr(T, "_bands", spy)
+        x = rand_tensor(rng, (h, wd, cin))
+        w = rand_tensor(rng, (k, k, cin, cout))
+        b = rand_tensor(rng, (cout,))
+        y = T.conv2d(x, w, b, 1, padding)
+        hout = y.shape[0]
+        assert rows == [band] * (hout // band) + [hout % band] * (hout % band > 0)
+        gy = rng.standard_normal(y.shape)
+        T.backward(T.tsum(T.mul(y, Tensor(gy))))
+        ref = _im2col_conv_reference(x.data, w.data, b.data, padding, gy)
+        for got, want in zip((y.data, x.grad, w.grad, b.grad), ref):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k,padding", [(3, 1), (5, 2), (3, 0)])
+    def test_backward_keeps_no_unfold(self, rng, k, padding):
+        x = rand_tensor(rng, (16, 40, 8))
+        y = T.conv2d(x, rand_tensor(rng, (k, k, 8, 8)), rand_tensor(rng, (8,)),
+                     1, padding)
+        back = y._backward
+        held = list(back.__defaults__) + [c.cell_contents for c in back.__closure__ or ()]
+        arrays = [v.data if isinstance(v, Tensor) else v for v in held]
+        unfold = (16 + 2 * padding) * y.shape[1] * k * 8 * 8  # bytes
+        assert max(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < unfold / 2
+
     def test_stride2_grad(self, rng):
         x = rand_tensor(rng, (8, 8, 2))
         w = rand_tensor(rng, (4, 4, 2, 3), scale=0.3)

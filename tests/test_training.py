@@ -2,11 +2,13 @@
 import filecmp
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from evlight import tensor as T
+from evlight import training
 from evlight.events import VoxelGrid
 from evlight.fixtures import fixtures
 from evlight.tensor import Tensor
@@ -297,6 +299,22 @@ class TestTrainLoop:
         ckpt2, csv2 = train(man, _tiny_config(), str(tmp_path / "b"))
         assert filecmp.cmp(csv1, csv2, shallow=False)
         assert filecmp.cmp(ckpt1, ckpt2, shallow=False)
+
+    def test_sample_graph_freed_before_next_forward(self, tmp_path, monkeypatch):
+        man = fixtures(str(tmp_path / "data"), seed=3, count=2, size=32)
+        forward = training.EvLightModel.forward
+        outputs: list[weakref.ref] = []
+        alive_at_forward: list[int] = []
+
+        def spy(self, *args, **kwargs):
+            alive_at_forward.append(sum(r() is not None for r in outputs))
+            result = forward(self, *args, **kwargs)
+            outputs.append(weakref.ref(result[0].data))
+            return result
+
+        monkeypatch.setattr(training.EvLightModel, "forward", spy)
+        train(man, _tiny_config(steps=2, batch=2), str(tmp_path / "out"))
+        assert alive_at_forward == [0, 0, 0, 0]
 
     def test_lambda_changes_trajectory(self, tmp_path):
         man = fixtures(str(tmp_path / "data"), seed=3, count=1, size=32)
