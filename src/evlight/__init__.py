@@ -7,8 +7,8 @@ signal-to-noise-ratio trust map. The hot kernels are plain numpy.
 """
 from ._kernels import BACKEND
 from .alignment import AlignReport, MatchResult, SequenceMeta, align_report, interval, match
-from .events import (Event, EventFormatError, EventStream, VoxelGrid,
-                     read_events, simulate_events, voxelize, write_events)
+from .events import (EventFormatError, EventStream, VoxelGrid, read_events,
+                     simulate_events, voxelize, write_events)
 from .image import (ImageFormatError, pad_reflect, psnr, psnr_star,
                     read_image, ssim, to_gray, write_image)
 from .lightup import (LightUpEstimator, SnrMap, illumination_prior, light_up,
@@ -29,7 +29,7 @@ __all__ = [
     "BACKEND", "__version__",
     "Tensor", "Parameter", "ShapeError", "NonFiniteError", "backward",
     "Module", "CheckpointError", "save_checkpoint", "load_checkpoint",
-    "Event", "EventStream", "VoxelGrid", "EventFormatError",
+    "EventStream", "VoxelGrid", "EventFormatError",
     "voxelize", "read_events", "write_events", "simulate_events",
     "ImageFormatError", "to_gray", "psnr", "ssim", "psnr_star",
     "read_image", "write_image", "pad_reflect",

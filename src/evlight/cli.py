@@ -23,8 +23,7 @@ from . import tensor as T
 from .events import read_events, simulate_events, voxelize, write_events
 from .image import psnr, psnr_star, read_image, ssim, write_image
 from .lightup import LightUpEstimator, light_up, snr_map
-from .model import EvLightModel, enhance_file, infer_architecture, predict
-from .module import load_checkpoint
+from .model import enhance_file, load_model, load_sample, predict
 from .training import TrainConfig, parse_config, parse_manifest, train
 
 log = logging.getLogger("evlight")
@@ -95,13 +94,8 @@ def _cmd_simulate_events(args) -> int:
 
 def _cmd_lightup(args) -> int:
     img = read_image(args.image)
-    # built first from the seed, as inside EvLightModel
-    estimator = LightUpEstimator(np.random.default_rng(args.seed))
-    if args.ckpt:
-        prefix = "estimator."
-        estimator.load_state({k[len(prefix):]: v for k, v in
-                              load_checkpoint(args.ckpt).items()
-                              if k.startswith(prefix)})
+    estimator = load_model(args.ckpt).estimator if args.ckpt else \
+        LightUpEstimator(np.random.default_rng(args.seed))
     with T.no_grad():
         i_lu, _ = light_up(T.Tensor(img), estimator)
     write_image(args.out, np.clip(i_lu.data, 0.0, 1.0))
@@ -138,23 +132,16 @@ def _cmd_eval(args) -> int:
     pairs = parse_manifest(args.manifest)
     if not pairs:
         raise ValueError(f"{args.manifest}: manifest lists no sample pairs")
-    state = load_checkpoint(args.ckpt)
-    base_channels, heads, bins = infer_architecture(state)
-    if args.bins is not None and args.bins != bins:
-        raise ValueError(f"checkpoint was trained with {bins} bins, "
-                         f"not {args.bins}")
-    model = EvLightModel(np.random.default_rng(0), base_channels=base_channels,
-                         heads=heads, bins=bins, tau=args.tau)
-    model.load_state(state)
+    model = load_model(args.ckpt, args.bins, args.tau)
     rows = []
     failed = False
     sums = np.zeros(3)
     n_ok = 0
     for pair in pairs:
         try:
-            low = read_image(pair.low)
+            low, grid = load_sample(pair.low, pair.events, model.bins,
+                                    pair.t0, pair.t1)
             gt = read_image(pair.gt)
-            grid = voxelize(read_events(pair.events), bins, pair.t0, pair.t1)
             en = predict(model, low, grid)
             vals = (psnr(en, gt), psnr_star(en, gt), ssim(en, gt))
             sums += np.asarray(vals)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as _k
+from .image import _as_gray2d
 
 _MAGIC = b"EVST"
 _VERSION = 1
@@ -27,14 +28,6 @@ class EventFormatError(ValueError):
     def __init__(self, message: str, offset: int):
         self.offset = offset
         super().__init__(f"{message} (byte offset {offset})")
-
-
-@dataclass(frozen=True)
-class Event:
-    t: int
-    x: int
-    y: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -75,10 +68,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield Event(int(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
 
 
 @dataclass(frozen=True)
@@ -257,18 +246,7 @@ def simulate_events(frame_a: np.ndarray, frame_b: np.ndarray,
         raise ValueError(f"frame shapes differ: {frame_a.shape} vs {frame_b.shape}")
     if t_b <= t_a:
         raise ValueError("need t_b > t_a")
-
-    def as_gray(f):
-        f = np.asarray(f, dtype=np.float64)
-        if f.ndim == 3 and f.shape[2] == 3:
-            return f @ np.array([0.299, 0.587, 0.114])
-        if f.ndim == 3 and f.shape[2] == 1:
-            return f[:, :, 0]
-        if f.ndim == 2:
-            return f
-        raise ValueError(f"expected [H,W], [H,W,1] or [H,W,3], got {f.shape}")
-
-    ga, gb = as_gray(frame_a), as_gray(frame_b)
+    ga, gb = _as_gray2d(frame_a), _as_gray2d(frame_b)
     delta = np.log(np.maximum(gb, 1e-3)) - np.log(np.maximum(ga, 1e-3))
     # slack absorbs rounding when a ratio lands exactly on a multiple
     counts = np.floor(np.abs(delta) / theta + 1e-9).astype(np.int64)

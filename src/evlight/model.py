@@ -152,19 +152,12 @@ def predict(model: EvLightModel, img: np.ndarray, grid: VoxelGrid) -> np.ndarray
     return np.clip(i_en.data[:h, :w, :], 0.0, 1.0)
 
 
-def enhance_file(img_path: str, event_path: str, ckpt_path: str,
-                 out_path: str, bins: int | None = None, tau: float = 0.5,
-                 t0: int | None = None, t1: int | None = None) -> np.ndarray:
-    """Enhance one image file; pads to divisible-by-4 and crops back.
+def load_model(ckpt_path: str, bins: int | None = None,
+               tau: float = 0.5) -> EvLightModel:
+    """The model a checkpoint holds; width, heads and bins come from its shapes.
 
-    The network width and bin count come from the checkpoint itself;
-    ``bins`` is only a cross-check against it.
+    ``bins`` is only a cross-check against the checkpoint.
     """
-    img = read_image(img_path)
-    stream = read_events(event_path)
-    if (stream.height, stream.width) != img.shape[:2]:
-        raise ValueError(f"sensor {stream.height}x{stream.width} does not match "
-                         f"image {img.shape[0]}x{img.shape[1]}")
     state = load_checkpoint(ckpt_path)
     base_channels, heads, ck_bins = infer_architecture(state)
     if bins is not None and bins != ck_bins:
@@ -172,6 +165,27 @@ def enhance_file(img_path: str, event_path: str, ckpt_path: str,
     model = EvLightModel(np.random.default_rng(0), base_channels=base_channels,
                          heads=heads, bins=ck_bins, tau=tau)
     model.load_state(state)
-    out = predict(model, img, voxelize(stream, ck_bins, t0, t1))
+    return model
+
+
+def load_sample(img_path: str, event_path: str, bins: int,
+                t0: int | None = None, t1: int | None = None
+                ) -> tuple[np.ndarray, VoxelGrid]:
+    """An image and its events voxelized over [t0, t1]; the sensor must match."""
+    img = read_image(img_path)
+    stream = read_events(event_path)
+    if (stream.height, stream.width) != img.shape[:2]:
+        raise ValueError(f"{event_path}: sensor {stream.height}x{stream.width} "
+                         f"does not match image {img_path} "
+                         f"{img.shape[0]}x{img.shape[1]}")
+    return img, voxelize(stream, bins, t0, t1)
+
+
+def enhance_file(img_path: str, event_path: str, ckpt_path: str,
+                 out_path: str, bins: int | None = None,
+                 tau: float = 0.5) -> np.ndarray:
+    """Enhance one image file with its whole event file; writes ``out_path``."""
+    model = load_model(ckpt_path, bins, tau)
+    out = predict(model, *load_sample(img_path, event_path, model.bins))
     write_image(out_path, out)
     return out

@@ -76,18 +76,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 class Parameter(Tensor):
     """Trainable tensor; ``name`` is the dotted checkpoint path."""
@@ -226,13 +214,6 @@ def mul(a: Tensor, b) -> Tensor:
         _accum(b, g * a.data)
 
     return _result(a.data * b.data, "mul", (a, b), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    def back(g, a=a):
-        _accum(a, -g)
-
-    return _result(-a.data, "neg", (a,), back)
 
 
 def mul_spatial(x: Tensor, m: Tensor) -> Tensor:
@@ -651,22 +632,6 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
             _accum(b, g.sum(axis=(0, 1)))
 
     return _result(out, "deconv2d", (x, w, b), back)
-
-
-def avg_pool2(x: Tensor) -> Tensor:
-    if x.ndim != 3:
-        raise ShapeError("avg_pool2", "all", "[H,W,C]", x.shape)
-    h, wd, c = x.shape
-    if h % 2 or wd % 2:
-        raise ShapeError("avg_pool2", 0 if h % 2 else 1, "even extent", (h, wd))
-    out = x.data.reshape(h // 2, 2, wd // 2, 2, c).mean(axis=(1, 3))
-
-    def back(g, x=x):
-        gx = np.broadcast_to(g[:, None, :, None, :] * 0.25,
-                             (h // 2, 2, wd // 2, 2, c))
-        _accum(x, gx.reshape(x.shape).copy())
-
-    return _result(out, "avg_pool2", (x,), back)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .events import VoxelGrid, read_events, voxelize
+from .events import VoxelGrid
 from .image import read_image
-from .model import EvLightModel
+from .model import EvLightModel, load_sample
 from .module import save_checkpoint
 from .tensor import Parameter, Tensor
 
@@ -174,6 +174,9 @@ class TrainConfig:
     grad_clip: float = 10.0
 
     def __post_init__(self):
+        for key, low in (("batch", 1), ("epochs", 1), ("steps", 0), ("crop", 4)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.crop % 4:
             raise ValueError("crop must divide by 4")
         if self.lam < 0:
@@ -269,14 +272,8 @@ def augment(img: np.ndarray, grid: VoxelGrid, gt: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _load_pairs(pairs: list[SamplePair], bins: int):
-    loaded = []
-    for pair in pairs:
-        low = read_image(pair.low)
-        gt = read_image(pair.gt)
-        stream = read_events(pair.events)
-        grid = voxelize(stream, bins, pair.t0, pair.t1)
-        loaded.append((low, grid, gt))
-    return loaded
+    return [(*load_sample(pair.low, pair.events, bins, pair.t0, pair.t1),
+             read_image(pair.gt)) for pair in pairs]
 
 
 def train(manifest_path: str, config: TrainConfig, out_dir: str,
@@ -290,8 +287,8 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     pairs = parse_manifest(manifest_path)
     if not pairs:
         raise ValueError(f"{manifest_path}: manifest lists no sample pairs")
-    os.makedirs(out_dir, exist_ok=True)
     data = _load_pairs(pairs, config.bins)
+    os.makedirs(out_dir, exist_ok=True)
 
     rng = np.random.default_rng(config.seed)
     model = EvLightModel(rng, base_channels=config.base_channels,

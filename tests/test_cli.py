@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from evlight.cli import DEFAULT_SEED, main
-from evlight.events import read_events, simulate_events, voxelize, write_events
+from evlight.events import (EventStream, read_events, simulate_events, voxelize,
+                            write_events)
 from evlight.image import read_image, write_image
 from evlight.lightup import light_up
 from evlight.model import EvLightModel
@@ -193,6 +194,52 @@ class TestTrainEval:
         psnr_v, psnr_star_v, ssim_v = map(float, lines[1].split(",")[1:])
         assert psnr_v > 0 and -1 <= ssim_v <= 1
         assert "1/1 rows ok" in capsys.readouterr().out
+
+    def _sensor_mismatch_manifest(self, tmp_path):
+        # the low image is 32x32; its events come from a 40x40 sensor
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "1", "--size", "32"])
+        rng = np.random.default_rng(5)
+        t = np.sort(rng.integers(0, 100_000, 50))
+        write_events(EventStream(40, 40, t, rng.integers(0, 40, 50),
+                                 rng.integers(0, 40, 50), rng.choice([-1, 1], 50)),
+                     str(tmp_path / "data" / "scene_0" / "events.evst"))
+        return str(tmp_path / "data" / "manifest.txt")
+
+    def test_eval_rejects_sensor_mismatch(self, tmp_path, capsys):
+        man = self._sensor_mismatch_manifest(tmp_path)
+        ckpt = str(tmp_path / "m.evlt")
+        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        out_csv = str(tmp_path / "scores.csv")
+        assert main(["eval", "--manifest", man, "--ckpt", ckpt,
+                     "--out", out_csv]) == 1
+        row = open(out_csv).read().splitlines()[1]
+        assert ",error,error," in row and "sensor 40x40" in row
+        assert "0/1 rows ok" in capsys.readouterr().out
+
+    def test_train_rejects_sensor_mismatch_while_loading(self, tmp_path, capsys):
+        man = self._sensor_mismatch_manifest(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main(["train", "--manifest", man, "--out-dir", str(out_dir),
+                     "--config", self._config_file(tmp_path)]) == 1
+        assert "sensor 40x40 does not match image" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch", "0"), ("--batch", "-1"), ("--epochs", "0"),
+        ("--epochs", "-2"), ("--steps", "-3"), ("--crop", "0"), ("--crop", "-4"),
+    ])
+    def test_bad_training_count_exits_one_before_writing(self, tmp_path, capsys,
+                                                         flag, value):
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "1", "--size", "32"])
+        capsys.readouterr()
+        out_dir = tmp_path / "run"
+        assert main(["train", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+                     "--out-dir", str(out_dir),
+                     "--config", self._config_file(tmp_path), flag, value]) == 1
+        assert f"{flag[2:]} must be >= " in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_eval_empty_manifest_exits_one(self, tmp_path, capsys):
         man = tmp_path / "m.txt"

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import evlight
 from evlight import tensor as T
 from evlight.events import EventStream, VoxelGrid, voxelize, write_events
 from evlight.image import pad_reflect, read_image, write_image
@@ -227,3 +228,10 @@ class TestVoxelIntegration:
         grid = voxelize(stream, bins=4)
         i_en, _, _ = model.forward(rng.uniform(0, 0.3, (16, 16, 3)), grid)
         assert np.all(np.isfinite(i_en.data))
+
+
+def test_star_import_resolves_every_export():
+    # a stale name in __all__ makes the star import raise AttributeError
+    namespace = {}
+    exec("from evlight import *", namespace)
+    assert set(evlight.__all__) <= set(namespace)

@@ -252,6 +252,15 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="divide by 4"):
             parse_config(str(cfg_file))
 
+    @pytest.mark.parametrize("line", ["batch = 0", "epochs = 0", "steps = -1",
+                                      "crop = 0"])
+    def test_bad_counts_rejected(self, tmp_path, line):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(line + "\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ValueError, match=f"{key} must be >= "):
+            parse_config(str(cfg_file))
+
     def test_direct_validation(self):
         with pytest.raises(ValueError, match="lambda"):
             TrainConfig(lam=-0.1)
