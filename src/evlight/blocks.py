@@ -26,10 +26,10 @@ from .tensor import Parameter, ShapeError
 class EcaResidual(Module):
     """x + ECA(conv3x3(leaky_relu(conv3x3(x)))) with a per-channel gate."""
 
-    def __init__(self, rng: np.random.Generator, c: int, eca_kernel: int = 3):
+    def __init__(self, rng: np.random.Generator, c: int):
         self.conv1 = Conv2d(rng, 3, c, c)
         self.conv2 = Conv2d(rng, 3, c, c, zero_init=True)
-        self.eca_weight = Parameter(np.zeros(eca_kernel))
+        self.eca_weight = Parameter(np.zeros(3))  # ECA's 1-D kernel over channels
         self.eca_bias = Parameter(np.zeros(c))
 
     def forward(self, x: T.Tensor) -> T.Tensor:
@@ -37,7 +37,7 @@ class EcaResidual(Module):
         pooled = T.global_avg_pool(h)
         gate = T.sigmoid(T.add(T.conv1d_same(pooled, self.eca_weight),
                                self.eca_bias))
-        return T.add(x, T.mul_channel(h, gate))
+        return T.add(x, T.mul(h, gate))
 
 
 class RegionalSelect(Module):
@@ -47,20 +47,17 @@ class RegionalSelect(Module):
     keeps the complement (event features).
     """
 
-    def __init__(self, rng: np.random.Generator, c: int, invert: bool = False,
-                 eca_kernel: int = 3):
-        self.res1 = EcaResidual(rng, c, eca_kernel)
-        self.res2 = EcaResidual(rng, c, eca_kernel)
+    def __init__(self, rng: np.random.Generator, c: int, invert: bool = False):
+        self.res1 = EcaResidual(rng, c)
+        self.res2 = EcaResidual(rng, c)
         self.invert = invert
 
     def refined(self, f: T.Tensor) -> T.Tensor:
         return self.res2.forward(self.res1.forward(f))
 
     def forward(self, f: T.Tensor, m_binary: np.ndarray) -> T.Tensor:
-        if m_binary.shape != f.shape[:2]:
-            raise ShapeError("regional_select", "0,1", f.shape[:2], m_binary.shape)
         mask = 1.0 - m_binary if self.invert else m_binary
-        return T.mul_spatial(self.refined(f), T.Tensor(mask))
+        return T.mul(self.refined(f), T.Tensor(mask[:, :, None]))
 
 
 class ChannelAttention(Module):
@@ -86,24 +83,15 @@ class ChannelAttention(Module):
         d = c // self.heads
         qkv = self.qkv_dw.forward(self.qkv.forward(x))
         flat = T.transpose(T.reshape(qkv, (h * w, 3 * c)), (1, 0))
-        q = T.reshape(_slice_rows(flat, 0, c), (self.heads, d, h * w))
-        k = T.reshape(_slice_rows(flat, c, 2 * c), (self.heads, d, h * w))
-        v = T.reshape(_slice_rows(flat, 2 * c, 3 * c), (self.heads, d, h * w))
+        q = T.reshape(T.slice_rows(flat, 0, c), (self.heads, d, h * w))
+        k = T.reshape(T.slice_rows(flat, c, 2 * c), (self.heads, d, h * w))
+        v = T.reshape(T.slice_rows(flat, 2 * c, 3 * c), (self.heads, d, h * w))
         att = T.matmul(q, T.transpose(k, (0, 2, 1)))
-        att = T.softmax(T.div_per_head(att, self.alpha), axis=-1)
+        temp = T.reshape(self.alpha, (self.heads, 1, 1))
+        att = T.softmax(T.div(att, temp), axis=-1)
         out = T.matmul(att, v)
         out = T.reshape(T.transpose(T.reshape(out, (c, h * w)), (1, 0)), (h, w, c))
         return self.proj.forward(out)
-
-
-def _slice_rows(x: T.Tensor, lo: int, hi: int) -> T.Tensor:
-    """Differentiable row slice of a 2-D tensor."""
-    def back(g, x=x, lo=lo, hi=hi):
-        full = np.zeros(x.shape, dtype=np.float64)
-        full[lo:hi] = g
-        T._accum(x, full)
-
-    return T._result(np.ascontiguousarray(x.data[lo:hi]), "slice_rows", (x,), back)
 
 
 class FeedForward(Module):
@@ -145,5 +133,5 @@ class Hrf(Module):
                              (sel_ev.shape, holistic.shape))
         cat = T.concat([sel_img, sel_ev, holistic], axis=2)
         gate = T.sigmoid(self.f1.forward(cat))
-        gated = T.mul_spatial(self.f2.forward(cat), gate)
+        gated = T.mul(self.f2.forward(cat), gate)
         return self.f3.forward(T.add(gated, cat))

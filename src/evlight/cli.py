@@ -21,7 +21,7 @@ from . import alignment
 from .fixtures import fixtures as make_fixtures
 from . import tensor as T
 from .events import read_events, simulate_events, voxelize, write_events
-from .image import psnr, psnr_star, read_image, ssim, write_image
+from .image import as_rgb, psnr, psnr_star, read_image, ssim, write_image
 from .lightup import LightUpEstimator, light_up, snr_map
 from .model import enhance_file, load_model, load_sample, predict
 from .training import TrainConfig, parse_config, parse_manifest, train
@@ -93,7 +93,7 @@ def _cmd_simulate_events(args) -> int:
 
 
 def _cmd_lightup(args) -> int:
-    img = read_image(args.image)
+    img = as_rgb(read_image(args.image))
     estimator = load_model(args.ckpt).estimator if args.ckpt else \
         LightUpEstimator(np.random.default_rng(args.seed))
     with T.no_grad():
@@ -305,7 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command != "train" and "tau" in args and args.tau is None:
         args.tau = INFER_TAU
-    if args.command != "train" and "seed" in args and args.seed is None:
+    if args.command == "lightup" and args.ckpt:
+        # every estimator weight comes from the checkpoint: no seed is used
+        if args.seed is not None:
+            parser.error("lightup: --seed has no effect with --ckpt; give one or the other")
+    elif args.command != "train" and "seed" in args and args.seed is None:
         args.seed = DEFAULT_SEED
     try:
         resolved = asdict(_train_config(args)) if args.command == "train" else None

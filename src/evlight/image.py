@@ -29,6 +29,13 @@ def to_gray(img: np.ndarray) -> np.ndarray:
     return (img @ _GRAY_WEIGHTS)[:, :, None]
 
 
+def as_rgb(img: np.ndarray) -> np.ndarray:
+    """A one-channel [H,W,1] image repeated to RGB; any other shape as is."""
+    if img.ndim == 3 and img.shape[2] == 1:
+        return np.repeat(img, 3, axis=2)
+    return img
+
+
 def _as_gray2d(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim == 3 and img.shape[2] == 3:

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import Hfe, Hrf, RegionalSelect
 from .events import VoxelGrid, read_events, voxelize
-from .image import pad_reflect, read_image, write_image
+from .image import as_rgb, pad_reflect, read_image, write_image
 from .lightup import LightUpEstimator, SnrMap, light_up, snr_map, snr_pyramid
 from .module import (CheckpointError, Conv2d, Deconv2d, Module,
                      load_checkpoint)
@@ -105,7 +105,7 @@ class EvLightModel(Module):
         reg_ev = [self.erfs[s].forward(sel_ev[s], pyr[s].binary) for s in range(3)]
 
         # holistic trunk; events enter only where the image is untrusted
-        ev_gated = T.mul_spatial(f_ev, T.Tensor(1.0 - pyr[0].binary))
+        ev_gated = T.mul(f_ev, T.Tensor(1.0 - pyr[0].binary[:, :, None]))
         x = self.fuse.forward(T.concat([f_img, ev_gated], axis=2))
         e0 = self.enc_hfe[0].forward(x)
         e1 = self.enc_hfe[1].forward(self.enc_down[0].forward(e0))
@@ -139,9 +139,7 @@ def predict(model: EvLightModel, img: np.ndarray, grid: VoxelGrid) -> np.ndarray
     reflectively to extents divisible by 4, runs the forward pass under
     ``no_grad``, crops back and clips.
     """
-    if img.ndim == 3 and img.shape[2] == 1:
-        img = np.repeat(img, 3, axis=2)
-    padded, h, w = pad_reflect(img, 4)
+    padded, h, w = pad_reflect(as_rgb(img), 4)
     gdata = grid.data
     ph, pw = padded.shape[0] - h, padded.shape[1] - w
     if ph or pw:

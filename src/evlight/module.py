@@ -142,12 +142,6 @@ def dwconv_init(rng: np.random.Generator, k: int, c: int) -> tuple[Parameter, Pa
     return Parameter(w), Parameter(np.zeros(c))
 
 
-def deconv_init(rng: np.random.Generator, cin: int, cout: int) -> tuple[Parameter, Parameter]:
-    bound = np.sqrt(6.0 / (4 * cin))
-    w = rng.uniform(-bound, bound, size=(2, 2, cin, cout))
-    return Parameter(w), Parameter(np.zeros(cout))
-
-
 # ---------------------------------------------------------------------------
 # layer wrappers
 # ---------------------------------------------------------------------------
@@ -178,7 +172,7 @@ class DwConv2d(Module):
 
 class Deconv2d(Module):
     def __init__(self, rng: np.random.Generator, cin: int, cout: int):
-        self.weight, self.bias = deconv_init(rng, cin, cout)
+        self.weight, self.bias = conv_init(rng, 2, cin, cout)
 
     def forward(self, x: T.Tensor) -> T.Tensor:
         return T.deconv2d(x, self.weight, self.bias)
@@ -195,6 +189,6 @@ class LayerNorm(Module):
 
 __all__ = [
     "Module", "CheckpointError", "save_checkpoint", "load_checkpoint",
-    "conv_init", "dwconv_init", "deconv_init",
+    "conv_init", "dwconv_init",
     "Conv2d", "DwConv2d", "Deconv2d", "LayerNorm",
 ]

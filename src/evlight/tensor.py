@@ -2,9 +2,11 @@
 
 Every operation the enhancement model needs lives here: convolutions,
 the 2x2 transposed convolution, pooling, layer norm, softmax, pointwise
-activations, and a handful of strict broadcast ops (bias add, per-channel
-and per-pixel scaling). Broadcasting beyond those cases is rejected so the
-substrate stays auditable.
+activations, slicing and elementwise arithmetic. ``add``, ``sub``, ``mul``
+and ``div`` share one broadcast rule: ``b`` broadcasts into ``a`` when the
+two are aligned on their trailing axes and each extent of ``b`` equals
+``a``'s or is 1, so the result always has ``a``'s shape (a per-pixel mask
+is [H,W,1], a per-channel gate [C]). Anything else is rejected.
 
 Values are float64 throughout and must stay finite; any op that produces
 NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
@@ -48,7 +50,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64, order="C")
         if any(n < 1 for n in arr.shape):
             raise ShapeError("tensor", "all", "positive extents", arr.shape)
         _check_finite(arr, "tensor")
@@ -78,13 +80,12 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor; ``name`` is the dotted checkpoint path."""
+    """Trainable tensor; its checkpoint name is its path in the owning Module."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
 
 
 _grad_enabled = True
@@ -110,7 +111,7 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
     out.grad = None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
+        out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
     else:
         out.requires_grad = False
@@ -157,108 +158,85 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and strict-broadcast arithmetic
+# elementwise arithmetic under one broadcast rule
 # ---------------------------------------------------------------------------
 
+def _operand(op: str, a: Tensor, b) -> Tensor:
+    """``b`` as a Tensor that broadcasts into ``a``; a number becomes a constant.
+
+    The rule: aligned on trailing axes, each extent of ``b`` equals ``a``'s
+    or is 1, so the result always has ``a``'s shape.
+    """
+    if not isinstance(b, Tensor):
+        return Tensor(float(b))
+    lead = a.ndim - b.ndim
+    if lead < 0 or any(m not in (n, 1) for n, m in zip(a.shape[lead:], b.shape)):
+        raise ShapeError(op, "all", f"a shape broadcastable into {a.shape}", b.shape)
+    return b
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
+    lead = g.ndim - len(shape)
+    axes = tuple(i for i in range(g.ndim) if i < lead or shape[i - lead] < g.shape[i])
+    return g.sum(axis=axes).reshape(shape) if axes else g
+
+
 def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        s = float(b)
-
-        def back_s(g, a=a):
-            _accum(a, g)
-
-        return _result(a.data + s, "add", (a,), back_s)
-    if a.shape == b.shape:
-
-        def back(g, a=a, b=b):
-            _accum(a, g)
-            _accum(b, g)
-
-        return _result(a.data + b.data, "add", (a, b), back)
-    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        # bias add: the one sanctioned broadcast
-        def back_bias(g, a=a, b=b):
-            _accum(a, g)
-            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
-
-        return _result(a.data + b.data, "add", (a, b), back_bias)
-    raise ShapeError("add", "all", a.shape, b.shape)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return add(a, -float(b))
-    if a.shape != b.shape:
-        raise ShapeError("sub", "all", a.shape, b.shape)
+    b = _operand("add", a, b)
 
     def back(g, a=a, b=b):
         _accum(a, g)
-        _accum(b, -g)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
+
+    return _result(a.data + b.data, "add", (a, b), back)
+
+
+def sub(a: Tensor, b) -> Tensor:
+    b = _operand("sub", a, b)
+
+    def back(g, a=a, b=b):
+        _accum(a, g)
+        if b.requires_grad:
+            _accum(b, -_unbroadcast(g, b.shape))
 
     return _result(a.data - b.data, "sub", (a, b), back)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        s = float(b)
-
-        def back_s(g, a=a, s=s):
-            _accum(a, g * s)
-
-        return _result(a.data * s, "mul", (a,), back_s)
-    if a.shape != b.shape:
-        raise ShapeError("mul", "all", a.shape, b.shape)
+    b = _operand("mul", a, b)
 
     def back(g, a=a, b=b):
         _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _result(a.data * b.data, "mul", (a, b), back)
 
 
-def mul_spatial(x: Tensor, m: Tensor) -> Tensor:
-    """Scale a [H,W,C] map by a per-pixel [H,W] (or [H,W,1]) factor."""
-    if x.ndim != 3:
-        raise ShapeError("mul_spatial", "all", "[H,W,C]", x.shape)
-    md = m.data[..., 0] if m.ndim == 3 and m.shape[2] == 1 else m.data
-    if md.shape != x.shape[:2]:
-        raise ShapeError("mul_spatial", "0,1", x.shape[:2], m.shape)
+def div(a: Tensor, b) -> Tensor:
+    b = _operand("div", a, b)
 
-    def back(g, x=x, m=m, md=md):
-        _accum(x, g * md[:, :, None])
-        if m.requires_grad:
-            gm = (g * x.data).sum(axis=2)
-            _accum(m, gm.reshape(m.shape))
+    def back(g, a=a, b=b):
+        _accum(a, g / b.data)
+        if b.requires_grad:
+            _accum(b, -_unbroadcast(g * a.data, b.shape) / b.data ** 2)
 
-    return _result(x.data * md[:, :, None], "mul_spatial", (x, m), back)
+    return _result(a.data / b.data, "div", (a, b), back)
 
 
-def mul_channel(x: Tensor, a: Tensor) -> Tensor:
-    """Scale a [H,W,C] map by a per-channel [C] factor."""
-    if x.ndim != 3 or a.ndim != 1 or a.shape[0] != x.shape[2]:
-        raise ShapeError("mul_channel", 2, x.shape, a.shape)
+def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows lo:hi of x along axis 0."""
+    if not 0 <= lo < hi <= x.shape[0]:
+        raise ShapeError("slice_rows", 0, f"0 <= lo < hi <= {x.shape[0]}", (lo, hi))
 
-    def back(g, x=x, a=a):
-        _accum(x, g * a.data)
-        if a.requires_grad:
-            _accum(a, (g * x.data).sum(axis=(0, 1)))
+    def back(g, x=x, lo=lo, hi=hi):
+        full = np.zeros(x.shape)
+        full[lo:hi] = g
+        _accum(x, full)
 
-    return _result(x.data * a.data, "mul_channel", (x, a), back)
-
-
-def div_per_head(x: Tensor, alpha: Tensor) -> Tensor:
-    """Divide a [heads, m, n] stack by a positive per-head scalar [heads]."""
-    if x.ndim != 3 or alpha.ndim != 1 or alpha.shape[0] != x.shape[0]:
-        raise ShapeError("div_per_head", 0, x.shape, alpha.shape)
-    a = alpha.data[:, None, None]
-
-    def back(g, x=x, alpha=alpha, a=a):
-        _accum(x, g / a)
-        if alpha.requires_grad:
-            ga = -(g * x.data).sum(axis=(1, 2)) / (alpha.data ** 2)
-            _accum(alpha, ga)
-
-    return _result(x.data / a, "div_per_head", (x, alpha), back)
+    return _result(np.ascontiguousarray(x.data[lo:hi]), "slice_rows", (x,), back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -604,11 +582,10 @@ def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(out, "dwconv2d", (x, w, b), back)
 
 
-def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
+def deconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Transposed 2x2 stride-2 convolution; doubles the spatial extent."""
-    if stride != 2 or w.ndim != 4 or w.shape[0] != 2 or w.shape[1] != 2:
-        raise ShapeError("deconv2d", "kernel", "2x2 kernel, stride 2",
-                         (getattr(w, "shape", None), stride))
+    if w.ndim != 4 or w.shape[:2] != (2, 2):
+        raise ShapeError("deconv2d", "kernel", "[2,2,Cin,Cout]", w.shape)
     if x.ndim != 3 or x.shape[2] != w.shape[2]:
         raise ShapeError("deconv2d", 2, w.shape[2], x.shape)
     cout = w.shape[3]

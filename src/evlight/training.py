@@ -4,7 +4,8 @@ The perceptual term uses a frozen, seeded random-convolution pyramid in
 place of a pretrained classifier: random features keep the property that
 different images produce different losses while adding no external
 weights. This substitution is deliberate and documented; swap in a real
-extractor by passing any object with the same ``stages`` interface.
+extractor by passing any object whose ``features(x)`` returns a list of
+feature tensors.
 """
 from __future__ import annotations
 
@@ -271,9 +272,15 @@ def augment(img: np.ndarray, grid: VoxelGrid, gt: np.ndarray,
 # training loop
 # ---------------------------------------------------------------------------
 
-def _load_pairs(pairs: list[SamplePair], bins: int):
-    return [(*load_sample(pair.low, pair.events, bins, pair.t0, pair.t1),
-             read_image(pair.gt)) for pair in pairs]
+def _load_pairs(pairs: list[SamplePair], bins: int, crop: int):
+    data = []
+    for pair in pairs:
+        low, grid = load_sample(pair.low, pair.events, bins, pair.t0, pair.t1)
+        if crop > min(low.shape[:2]):
+            raise ValueError(f"{pair.low}: crop {crop} exceeds its extent "
+                             f"{low.shape[0]}x{low.shape[1]}")
+        data.append((low, grid, read_image(pair.gt)))
+    return data
 
 
 def train(manifest_path: str, config: TrainConfig, out_dir: str,
@@ -287,7 +294,7 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     pairs = parse_manifest(manifest_path)
     if not pairs:
         raise ValueError(f"{manifest_path}: manifest lists no sample pairs")
-    data = _load_pairs(pairs, config.bins)
+    data = _load_pairs(pairs, config.bins, config.crop)
     os.makedirs(out_dir, exist_ok=True)
 
     rng = np.random.default_rng(config.seed)
@@ -318,7 +325,8 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
                 if not order:
                     order = list(aug_rng.permutation(len(data)))
                 low, grid, gt = data[order.pop(0)]
-                crop = config.crop if config.crop < min(low.shape[:2]) else None
+                # a crop equal to the whole sample draws no offsets
+                crop = None if low.shape[:2] == (config.crop,) * 2 else config.crop
                 low_a, grid_a, gt_a = augment(
                     low, grid, gt, aug_rng, crop,
                     hflip=config.hflip, rotate=config.rotate)

@@ -103,6 +103,35 @@ class TestLightupAndSnr:
         want = np.clip(i_lu.data, 0.0, 1.0).astype(np.float32)
         assert np.array_equal(read_image(out), want.astype(np.float64))
 
+    def test_lightup_seed_with_checkpoint_rejected(self, tmp_path, rng, capsys):
+        low_path, _ = _write_scene(tmp_path, rng)
+        ckpt = str(tmp_path / "m.evlt")
+        EvLightModel(np.random.default_rng(1), base_channels=4, bins=4).save(ckpt)
+        out = tmp_path / "lu.pfm"
+        with pytest.raises(SystemExit) as exc:
+            main(["lightup", "--image", low_path, "--ckpt", ckpt, "--out", str(out),
+                  "--seed", "9"])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--ckpt" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_ckpt", [False, True])
+    def test_lightup_of_grayscale_equals_rgb_repeat(self, tmp_path, rng, with_ckpt):
+        gray = rng.uniform(0.02, 0.25, (32, 32, 1))
+        gray_path, rgb_path = str(tmp_path / "low.pgm"), str(tmp_path / "low.ppm")
+        write_image(gray_path, gray)
+        write_image(rgb_path, np.repeat(read_image(gray_path), 3, axis=2))
+        extra = []
+        if with_ckpt:
+            extra = ["--ckpt", str(tmp_path / "m.evlt")]
+            EvLightModel(np.random.default_rng(1), base_channels=4, bins=4).save(extra[1])
+        outs = []
+        for src in (gray_path, rgb_path):
+            outs.append(str(tmp_path / f"lu_{os.path.basename(src)}.pfm"))
+            assert main(["lightup", "--image", src, "--out", outs[-1]] + extra) == 0
+        assert filecmp.cmp(*outs, shallow=False)
+
     def test_snr_map_outputs(self, tmp_path, rng, capsys):
         low_path, _ = _write_scene(tmp_path, rng)
         out_n = str(tmp_path / "norm.pfm")

@@ -24,8 +24,8 @@ class TestTensorBasics:
             Tensor(np.array([1.0, np.nan]))
 
     def test_parameter_requires_grad(self):
-        p = Parameter(np.ones(3), name="w")
-        assert p.requires_grad and p.name == "w"
+        p = Parameter(np.ones(3))
+        assert p.requires_grad
 
     def test_detach_breaks_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -102,23 +102,53 @@ class TestElementwiseOps:
 
     def test_mul_spatial_both_grads(self, rng):
         x = rand_tensor(rng, (4, 5, 3))
-        m = rand_tensor(rng, (4, 5))
-        fd_gradcheck(lambda x, m: T.mean(T.mul_spatial(x, m)), [x, m])
+        m = rand_tensor(rng, (4, 5, 1))
+        fd_gradcheck(lambda x, m: T.mean(T.mul(T.mul(x, m), x)), [x, m])
 
     def test_mul_spatial_keepdim_mask(self, rng):
         x = rand_tensor(rng, (4, 5, 3))
         m = rand_tensor(rng, (4, 5, 1))
-        fd_gradcheck(lambda x, m: T.mean(T.mul_spatial(x, m)), [x, m])
+        y = T.mul(x, m)
+        assert np.array_equal(y.data, x.data * m.data[:, :, 0][:, :, None])
+        T.backward(T.tsum(y))
+        assert m.grad.shape == (4, 5, 1)
+        assert np.array_equal(m.grad, x.data.sum(axis=2, keepdims=True))
 
     def test_mul_channel(self, rng):
         x = rand_tensor(rng, (4, 4, 6))
         a = rand_tensor(rng, (6,))
-        fd_gradcheck(lambda x, a: T.mean(T.mul_channel(x, a)), [x, a])
+        fd_gradcheck(lambda x, a: T.mean(T.mul(T.mul(x, a), x)), [x, a])
 
     def test_div_per_head(self, rng):
         x = rand_tensor(rng, (2, 3, 3))
         alpha = Tensor(rng.uniform(0.5, 2.0, 2), requires_grad=True)
-        fd_gradcheck(lambda x, a: T.mean(T.div_per_head(x, a)), [x, alpha])
+        fd_gradcheck(lambda x, a: T.mean(T.mul(T.div(x, T.reshape(a, (2, 1, 1))), x)),
+                     [x, alpha])
+
+    def test_div_by_number_and_middle_axis(self, rng):
+        x = rand_tensor(rng, (3, 4, 2))
+        b = Tensor(rng.uniform(0.5, 2.0, (4, 1)), requires_grad=True)
+        fd_gradcheck(lambda x, b: T.mean(T.mul(T.div(x, b), x)), [x, b])
+        assert np.array_equal(T.div(x, 4.0).data, x.data / 4.0)
+
+    def test_slice_rows_grad_and_bounds(self, rng):
+        x = rand_tensor(rng, (5, 3))
+        w = rand_tensor(rng, (3, 3), requires_grad=False)
+        fd_gradcheck(lambda x: T.mean(T.mul(T.slice_rows(x, 1, 4), w)), [x])
+        for lo, hi in ((2, 2), (3, 1), (-1, 2), (0, 6)):
+            with pytest.raises(ShapeError):
+                T.slice_rows(x, lo, hi)
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((4, 3), (2, 4, 3)),       # b of higher rank
+        ((4, 5, 3), (4, 5, 2)),    # an extent neither equal nor 1
+        ((4, 5, 3), (4, 5)),       # a [H,W] mask against [H,W,C]: misaligned
+        ((4, 1, 3), (4, 5, 3)),    # b wider than a's extent 1
+    ])
+    def test_broadcast_rule_rejects(self, op, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            op(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 class TestActivations:

@@ -9,8 +9,9 @@ import pytest
 
 from evlight import tensor as T
 from evlight import training
-from evlight.events import VoxelGrid
+from evlight.events import EventStream, VoxelGrid, write_events
 from evlight.fixtures import fixtures
+from evlight.image import write_image
 from evlight.tensor import Tensor
 from evlight.training import (CHARBONNIER_EPS, Adam, RandomConvFeatures,
                               TrainConfig, adam_step, augment, charbonnier,
@@ -324,6 +325,42 @@ class TestTrainLoop:
         monkeypatch.setattr(training.EvLightModel, "forward", spy)
         train(man, _tiny_config(steps=2, batch=2), str(tmp_path / "out"))
         assert alive_at_forward == [0, 0, 0, 0]
+
+    @staticmethod
+    def _wide_manifest(tmp_path, rng):
+        """One 32x48 sample: its image, events and target share that extent."""
+        h, w = 32, 48
+        d = tmp_path / "wide"
+        d.mkdir()
+        write_image(str(d / "low.ppm"), rng.uniform(0.02, 0.25, (h, w, 3)))
+        write_image(str(d / "gt.ppm"), rng.uniform(0.2, 0.9, (h, w, 3)))
+        n = 200
+        write_events(EventStream(w, h, np.sort(rng.integers(0, 1000, n)),
+                                 rng.integers(0, w, n), rng.integers(0, h, n),
+                                 rng.choice([-1, 1], n)), str(d / "ev.evst"))
+        man = d / "manifest.txt"
+        man.write_text("low.ppm\tev.evst\tgt.ppm\t0\t1000\n")
+        return str(man)
+
+    def test_crop_fitting_both_sides_is_honoured(self, tmp_path, rng, monkeypatch):
+        man = self._wide_manifest(tmp_path, rng)
+        forward = training.EvLightModel.forward
+        shapes = []
+
+        def spy(self, img, *args, **kwargs):
+            shapes.append(img.shape)
+            return forward(self, img, *args, **kwargs)
+
+        monkeypatch.setattr(training.EvLightModel, "forward", spy)
+        train(man, _tiny_config(crop=32, steps=3), str(tmp_path / "out"))
+        assert shapes == [(32, 32, 3)] * 3
+
+    def test_crop_beyond_a_side_rejected_before_writing(self, tmp_path, rng):
+        man = self._wide_manifest(tmp_path, rng)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"low\.ppm: crop 40 exceeds its extent 32x48"):
+            train(man, _tiny_config(crop=40), str(out))
+        assert not out.exists()
 
     def test_lambda_changes_trajectory(self, tmp_path):
         man = fixtures(str(tmp_path / "data"), seed=3, count=1, size=32)
