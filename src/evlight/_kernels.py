@@ -33,31 +33,32 @@ def col2im(colsg: np.ndarray, k: int, stride: int, hp: int, wp: int,
 
 
 def dwconv_forward(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    k = w.shape[0]
-    h = xp.shape[0] - k + 1
-    wd = xp.shape[1] - k + 1
+    kh, kw = w.shape[:2]
+    h = xp.shape[0] - kh + 1
+    wd = xp.shape[1] - kw + 1
     out = np.zeros((h, wd, xp.shape[2]), dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
+    for ki in range(kh):
+        for kj in range(kw):
             out += xp[ki:ki + h, kj:kj + wd, :] * w[ki, kj, :]
     return out
 
 
-def dwconv_grad_weight(xp: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+def dwconv_grad_weight(xp: np.ndarray, g: np.ndarray) -> np.ndarray:
     h, wd, c = g.shape
-    gw = np.zeros((k, k, c), dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
+    kh, kw = xp.shape[0] - h + 1, xp.shape[1] - wd + 1
+    gw = np.zeros((kh, kw, c), dtype=np.float64)
+    for ki in range(kh):
+        for kj in range(kw):
             gw[ki, kj, :] = np.sum(xp[ki:ki + h, kj:kj + wd, :] * g, axis=(0, 1))
     return gw
 
 
 def dwconv_grad_input(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    k = w.shape[0]
+    kh, kw = w.shape[:2]
     h, wd, c = g.shape
-    gp = np.zeros((h + k - 1, wd + k - 1, c), dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
+    gp = np.zeros((h + kh - 1, wd + kw - 1, c), dtype=np.float64)
+    for ki in range(kh):
+        for kj in range(kw):
             gp[ki:ki + h, kj:kj + wd, :] += g * w[ki, kj, :]
     return gp
 

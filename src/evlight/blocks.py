@@ -34,9 +34,13 @@ class EcaResidual(Module):
 
     def forward(self, x: T.Tensor) -> T.Tensor:
         h = self.conv2.forward(T.leaky_relu(self.conv1.forward(x), 0.2))
-        pooled = T.global_avg_pool(h)
-        gate = T.sigmoid(T.add(T.conv1d_same(pooled, self.eca_weight),
-                               self.eca_bias))
+        # ECA's 1-D conv over the pooled channels, as a 1x3 depthwise conv
+        # on the [1,C,1] view
+        c = h.shape[2]
+        pooled = T.reshape(T.global_avg_pool(h), (1, c, 1))
+        mixed = T.dwconv2d(pooled, T.reshape(self.eca_weight, (1, 3, 1)),
+                           T.Tensor(np.zeros(1)))
+        gate = T.sigmoid(T.add(T.reshape(mixed, (c,)), self.eca_bias))
         return T.add(x, T.mul(h, gate))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as _k
-from .image import _as_gray2d
+from .image import to_gray
 
 _MAGIC = b"EVST"
 _VERSION = 1
@@ -198,22 +198,29 @@ def _read_events_csv(text: str, path: str,
         if len(parts) != 4:
             raise EventFormatError(f"{path}: line {ln}: expected 4 fields", ln)
         try:
-            rows.append(tuple(int(v) for v in parts))
+            rows.append((ln, *(int(v) for v in parts)))
         except ValueError as exc:
             raise EventFormatError(f"{path}: line {ln}: {exc}", ln) from None
-    if rows:
-        arr = np.asarray(rows, dtype=np.int64)
-        t, x, y, p = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    else:
-        t = x = y = p = np.zeros(0, dtype=np.int64)
-    w = width if width is not None else (int(x.max()) + 1 if len(x) else 1)
-    h = height if height is not None else (int(y.max()) + 1 if len(y) else 1)
+    arr = np.asarray(rows, dtype=np.int64).reshape(-1, 5)
+    lns, t, x, y, p = arr.T
+    w = width if width is not None else int(x.max(initial=0)) + 1
+    h = height if height is not None else int(y.max(initial=0)) + 1
+    for name, vals, limit in (("x", x, w), ("y", y, h)):
+        bad = np.nonzero((vals < 0) | (vals >= limit))[0]
+        if bad.size:
+            ln = int(lns[bad[0]])
+            raise EventFormatError(f"{path}: line {ln}: {name}={int(vals[bad[0]])} "
+                                   f"out of bounds (sensor {w}x{h})", ln)
     return _finish_stream(w, h, t, x, y, p)
 
 
 def read_events(path: str, width: int | None = None,
                 height: int | None = None) -> EventStream:
-    """Read an ``EVST`` binary file, or CSV when the magic is absent."""
+    """Read an ``EVST`` binary file, or CSV when the magic is absent.
+
+    An EVST file carries its sensor extent. A CSV file does not: it takes
+    ``width`` and ``height`` when given, else one past its largest x and y.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] == _MAGIC:
@@ -246,7 +253,7 @@ def simulate_events(frame_a: np.ndarray, frame_b: np.ndarray,
         raise ValueError(f"frame shapes differ: {frame_a.shape} vs {frame_b.shape}")
     if t_b <= t_a:
         raise ValueError("need t_b > t_a")
-    ga, gb = _as_gray2d(frame_a), _as_gray2d(frame_b)
+    ga, gb = to_gray(frame_a), to_gray(frame_b)
     delta = np.log(np.maximum(gb, 1e-3)) - np.log(np.maximum(ga, 1e-3))
     # slack absorbs rounding when a ratio lands exactly on a multiple
     counts = np.floor(np.abs(delta) / theta + 1e-9).astype(np.int64)

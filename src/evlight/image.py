@@ -21,14 +21,6 @@ class ImageFormatError(ValueError):
         super().__init__(f"{message} (byte offset {offset})")
 
 
-def to_gray(img: np.ndarray) -> np.ndarray:
-    """Luma via 0.299R + 0.587G + 0.114B; returns [H,W,1]."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"to_gray expects [H,W,3], got {img.shape}")
-    return (img @ _GRAY_WEIGHTS)[:, :, None]
-
-
 def as_rgb(img: np.ndarray) -> np.ndarray:
     """A one-channel [H,W,1] image repeated to RGB; any other shape as is."""
     if img.ndim == 3 and img.shape[2] == 1:
@@ -36,7 +28,8 @@ def as_rgb(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def _as_gray2d(img: np.ndarray) -> np.ndarray:
+def to_gray(img: np.ndarray) -> np.ndarray:
+    """[H,W] luma: 0.299R + 0.587G + 0.114B of RGB; a one-channel image as is."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim == 3 and img.shape[2] == 3:
         return img @ _GRAY_WEIGHTS
@@ -117,10 +110,10 @@ def psnr_star(en: np.ndarray, gt: np.ndarray) -> float:
     gt = np.asarray(gt, dtype=np.float64)
     if en.shape != gt.shape:
         raise ValueError(f"shape mismatch: {en.shape} vs {gt.shape}")
-    mean_en = float(_as_gray2d(en).mean())
+    mean_en = float(to_gray(en).mean())
     if mean_en <= 0.0:
         raise ValueError("degenerate brightness: prediction gray mean is 0")
-    r = float(_as_gray2d(gt).mean()) / mean_en
+    r = float(to_gray(gt).mean()) / mean_en
     return psnr(np.clip(en * r, 0.0, 1.0), gt)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as _k
 from . import tensor as T
-from .image import _as_gray2d
+from .image import to_gray
 from .module import Conv2d, DwConv2d, Module
 
 
@@ -89,7 +89,7 @@ def snr_map(i_lu, kernel: int = 5, tau: float = 0.5) -> SnrMap:
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     data = i_lu.data if isinstance(i_lu, T.Tensor) else np.asarray(i_lu)
-    gray = np.maximum(_as_gray2d(data), 0.0)
+    gray = np.maximum(to_gray(data), 0.0)
     smooth = _k.box_filter(np.ascontiguousarray(gray), kernel)
     raw = smooth / np.maximum(np.abs(gray - smooth), 1e-4)
     mx = raw.max() if raw.size else 0.0

@@ -169,13 +169,16 @@ def load_model(ckpt_path: str, bins: int | None = None,
 def load_sample(img_path: str, event_path: str, bins: int,
                 t0: int | None = None, t1: int | None = None
                 ) -> tuple[np.ndarray, VoxelGrid]:
-    """An image and its events voxelized over [t0, t1]; the sensor must match."""
+    """An image and its events voxelized over [t0, t1]; the sensor must match.
+
+    A CSV event file takes the image's extent as its sensor.
+    """
     img = read_image(img_path)
-    stream = read_events(event_path)
-    if (stream.height, stream.width) != img.shape[:2]:
+    h, w = img.shape[:2]
+    stream = read_events(event_path, w, h)
+    if (stream.height, stream.width) != (h, w):
         raise ValueError(f"{event_path}: sensor {stream.height}x{stream.width} "
-                         f"does not match image {img_path} "
-                         f"{img.shape[0]}x{img.shape[1]}")
+                         f"does not match image {img_path} {h}x{w}")
     return img, voxelize(stream, bins, t0, t1)
 
 

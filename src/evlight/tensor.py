@@ -1,12 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation the enhancement model needs lives here: convolutions,
-the 2x2 transposed convolution, pooling, layer norm, softmax, pointwise
-activations, slicing and elementwise arithmetic. ``add``, ``sub``, ``mul``
-and ``div`` share one broadcast rule: ``b`` broadcasts into ``a`` when the
-two are aligned on their trailing axes and each extent of ``b`` equals
-``a``'s or is 1, so the result always has ``a``'s shape (a per-pixel mask
-is [H,W,1], a per-channel gate [C]). Anything else is rejected.
+Every operation the enhancement model needs lives here, each with its own
+gradient: convolutions, pooling, layer norm, softmax, pointwise activations,
+slicing and elementwise arithmetic. The one exception is the 2x2 transposed
+convolution ``deconv2d``, composed from ``conv2d``, ``reshape``, ``transpose``
+and ``add``. ``add``, ``sub``, ``mul`` and ``div`` share one broadcast rule:
+``b`` broadcasts into ``a`` when the two are aligned on their trailing axes
+and each extent of ``b`` equals ``a``'s or is 1, so the result always has
+``a``'s shape (a per-pixel mask is [H,W,1], a per-channel gate [C]).
+Anything else is rejected.
 
 Values are float64 throughout and must stay finite; any op that produces
 NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
@@ -556,34 +558,36 @@ def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, xp: np.ndarray, padding: int,
 
 
 def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Depthwise odd-kernel, stride-1, shape-preserving convolution."""
-    if x.ndim != 3 or w.ndim != 3 or w.shape[0] != w.shape[1]:
-        raise ShapeError("dwconv2d", "all", "[H,W,C] and [k,k,C]", (x.shape, w.shape))
-    k = w.shape[0]
-    if k % 2 == 0:
-        raise ShapeError("dwconv2d", "kernel", "odd size", k)
+    """Depthwise stride-1, shape-preserving convolution with an odd kh×kw kernel."""
+    if x.ndim != 3 or w.ndim != 3:
+        raise ShapeError("dwconv2d", "all", "[H,W,C] and [kh,kw,C]", (x.shape, w.shape))
+    kh, kw = w.shape[:2]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError("dwconv2d", "kernel", "odd extents", (kh, kw))
     c = x.shape[2]
     if w.shape[2] != c or b.shape != (c,):
         raise ShapeError("dwconv2d", 2, c, (w.shape[2], b.shape))
-    r = k // 2
-    xp = np.pad(x.data, ((r, r), (r, r), (0, 0)))
+    rh, rw = kh // 2, kw // 2
+    xp = np.pad(x.data, ((rh, rh), (rw, rw), (0, 0)))
     out = _k.dwconv_forward(xp, w.data) + b.data
 
-    def back(g, x=x, w=w, b=b, xp=xp, k=k, r=r):
-        gc = np.ascontiguousarray(g)
+    def back(g, x=x, w=w, b=b, xp=xp):
         if w.requires_grad:
-            _accum(w, _k.dwconv_grad_weight(xp, gc, k))
+            _accum(w, _k.dwconv_grad_weight(xp, g))
         if b.requires_grad:
-            _accum(b, gc.sum(axis=(0, 1)))
+            _accum(b, g.sum(axis=(0, 1)))
         if x.requires_grad:
-            gp = _k.dwconv_grad_input(gc, w.data)
-            _accum(x, gp[r:gp.shape[0] - r, r:gp.shape[1] - r, :])
+            gp = _k.dwconv_grad_input(g, w.data)
+            _accum(x, gp[rh:gp.shape[0] - rh, rw:gp.shape[1] - rw, :])
 
     return _result(out, "dwconv2d", (x, w, b), back)
 
 
 def deconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Transposed 2x2 stride-2 convolution; doubles the spatial extent."""
+    """Transposed 2x2 stride-2 convolution; doubles the spatial extent.
+
+    A 1x1 conv to 4*Cout channels, then depth-to-space (the sub-pixel identity).
+    """
     if w.ndim != 4 or w.shape[:2] != (2, 2):
         raise ShapeError("deconv2d", "kernel", "[2,2,Cin,Cout]", w.shape)
     if x.ndim != 3 or x.shape[2] != w.shape[2]:
@@ -592,23 +596,10 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (cout,):
         raise ShapeError("deconv2d", "bias", (cout,), b.shape)
     h, wd, cin = x.shape
-    xmat = x.data.reshape(h * wd, cin)
-    wmat = w.data.transpose(2, 0, 1, 3).reshape(cin, 4 * cout)
-    out = (xmat @ wmat).reshape(h, wd, 2, 2, cout).transpose(0, 2, 1, 3, 4)
-    out = np.ascontiguousarray(out).reshape(2 * h, 2 * wd, cout) + b.data
-
-    def back(g, x=x, w=w, b=b, xmat=xmat, wmat=wmat):
-        g5 = g.reshape(h, 2, wd, 2, cout).transpose(0, 2, 1, 3, 4)
-        gmat = np.ascontiguousarray(g5).reshape(h * wd, 4 * cout)
-        if x.requires_grad:
-            _accum(x, (gmat @ wmat.T).reshape(x.shape))
-        if w.requires_grad:
-            gw = (xmat.T @ gmat).reshape(cin, 2, 2, cout).transpose(1, 2, 0, 3)
-            _accum(w, np.ascontiguousarray(gw))
-        if b.requires_grad:
-            _accum(b, g.sum(axis=(0, 1)))
-
-    return _result(out, "deconv2d", (x, w, b), back)
+    wk = reshape(transpose(w, (2, 0, 1, 3)), (1, 1, cin, 4 * cout))
+    y = conv2d(x, wk, Tensor(np.zeros(4 * cout)))
+    y = transpose(reshape(y, (h, wd, 2, 2, cout)), (0, 2, 1, 3, 4))
+    return add(reshape(y, (2 * h, 2 * wd, cout)), b)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -620,29 +611,3 @@ def global_avg_pool(x: Tensor) -> Tensor:
         _accum(x, np.broadcast_to(g / n, x.shape).copy())
 
     return _result(x.data.mean(axis=(0, 1)), "global_avg_pool", (x,), back)
-
-
-def conv1d_same(x: Tensor, w: Tensor) -> Tensor:
-    """1-D same-size correlation over a channel vector (zero padded)."""
-    if x.ndim != 1 or w.ndim != 1 or w.shape[0] % 2 == 0:
-        raise ShapeError("conv1d_same", "all", "1-D input, odd 1-D kernel",
-                         (x.shape, w.shape))
-    k = w.shape[0]
-    r = k // 2
-    c = x.shape[0]
-    xp = np.pad(x.data, r)
-    out = np.zeros(c, dtype=np.float64)
-    for j in range(k):
-        out += w.data[j] * xp[j:j + c]
-
-    def back(g, x=x, w=w, xp=xp, k=k, r=r, c=c):
-        if w.requires_grad:
-            gw = np.array([float(np.dot(g, xp[j:j + c])) for j in range(k)])
-            _accum(w, gw)
-        if x.requires_grad:
-            gp = np.zeros(c + 2 * r, dtype=np.float64)
-            for j in range(k):
-                gp[j:j + c] += w.data[j] * g
-            _accum(x, gp[r:r + c])
-
-    return _result(out, "conv1d_same", (x, w), back)

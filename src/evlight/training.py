@@ -35,31 +35,27 @@ def charbonnier(en: Tensor, gt) -> Tensor:
 
 
 class RandomConvFeatures:
-    """Frozen 3-stage random-conv feature pyramid (the perceptual phi)."""
+    """Frozen 3-stage random-conv feature pyramid (the perceptual phi).
 
-    def __init__(self, seed: int = 1234, widths: tuple[int, ...] = (8, 16, 32)):
+    Each stage is a 3x3 stride-2 conv (padding 1), ReLU between stages.
+    """
+
+    WIDTHS = (8, 16, 32)
+
+    def __init__(self, seed: int = 1234):
         rng = np.random.default_rng(seed)
-        self.stages: list[tuple[Tensor, Tensor, int]] = []
+        self.stages: list[tuple[Tensor, Tensor]] = []
         cin = 3
-        for cout in widths:
+        for cout in self.WIDTHS:
             scale = math.sqrt(2.0 / (9 * cin))
             w = Tensor(rng.normal(0.0, scale, size=(3, 3, cin, cout)))
-            b = Tensor(np.zeros(cout))
-            self.stages.append((w, b, 2))
+            self.stages.append((w, Tensor(np.zeros(cout))))
             cin = cout
-
-    @staticmethod
-    def identity() -> "RandomConvFeatures":
-        phi = RandomConvFeatures.__new__(RandomConvFeatures)
-        w = np.zeros((1, 1, 3, 3))
-        w[0, 0] = np.eye(3)
-        phi.stages = [(Tensor(w), Tensor(np.zeros(3)), 1)]
-        return phi
 
     def features(self, x: Tensor) -> list[Tensor]:
         outs = []
-        for i, (w, b, stride) in enumerate(self.stages):
-            x = T.conv2d(x, w, b, stride=stride, padding=1 if w.shape[0] == 3 else 0)
+        for i, (w, b) in enumerate(self.stages):
+            x = T.conv2d(x, w, b, stride=2, padding=1)
             if i + 1 < len(self.stages):
                 x = T.relu(x)
             outs.append(x)
@@ -182,6 +178,14 @@ class TrainConfig:
             raise ValueError("crop must divide by 4")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
+        for key in ("lr", "grad_clip"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
+        if self.heads < 1 or self.base_channels < 1 or self.base_channels % self.heads:
+            raise ValueError(f"base_channels {self.base_channels} must be a "
+                             f"positive multiple of heads {self.heads}")
 
 
 def parse_manifest(path: str) -> list[SamplePair]:

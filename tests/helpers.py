@@ -1,4 +1,5 @@
-"""Shared test utilities: the central finite-difference gradient oracle."""
+"""Shared test utilities: the central finite-difference gradient oracle and
+the hand-written convolution ops the engine now composes from others."""
 from __future__ import annotations
 
 import numpy as np
@@ -47,3 +48,59 @@ def fd_gradcheck(build, leaves, h: float = 1e-5, tol: float = 1e-5,
 def rand_tensor(rng: np.random.Generator, shape, scale: float = 0.5,
                 requires_grad: bool = True) -> T.Tensor:
     return T.Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| / max|b| (0 when both are zero)."""
+    scale = float(np.max(np.abs(b)))
+    return float(np.max(np.abs(a - b))) / scale if scale else float(np.max(np.abs(a)))
+
+
+# Reference ops with their own hand-derived backward, as the engine had them
+# before deconv2d became conv2d + depth-to-space and ECA's 1-D conv a 1x3
+# dwconv2d. The compositions must match them: forward bit-exact, gradients
+# to 1e-12 relative.
+
+def deconv2d(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """Transposed 2x2 stride-2 convolution as one GEMM and a 2x2 scatter."""
+    h, wd, cin = x.shape
+    cout = w.shape[3]
+    xmat = x.data.reshape(h * wd, cin)
+    wmat = w.data.transpose(2, 0, 1, 3).reshape(cin, 4 * cout)
+    out = (xmat @ wmat).reshape(h, wd, 2, 2, cout).transpose(0, 2, 1, 3, 4)
+    out = np.ascontiguousarray(out).reshape(2 * h, 2 * wd, cout) + b.data
+
+    def back(g):
+        g5 = g.reshape(h, 2, wd, 2, cout).transpose(0, 2, 1, 3, 4)
+        gmat = np.ascontiguousarray(g5).reshape(h * wd, 4 * cout)
+        if x.requires_grad:
+            T._accum(x, (gmat @ wmat.T).reshape(x.shape))
+        if w.requires_grad:
+            gw = (xmat.T @ gmat).reshape(cin, 2, 2, cout).transpose(1, 2, 0, 3)
+            T._accum(w, np.ascontiguousarray(gw))
+        if b.requires_grad:
+            T._accum(b, g.sum(axis=(0, 1)))
+
+    return T._result(out, "deconv2d", (x, w, b), back)
+
+
+def conv1d_same(x: T.Tensor, w: T.Tensor) -> T.Tensor:
+    """1-D same-size correlation of a [C] vector with an odd kernel (zero padded)."""
+    k = w.shape[0]
+    r = k // 2
+    c = x.shape[0]
+    xp = np.pad(x.data, r)
+    out = np.zeros(c)
+    for j in range(k):
+        out += w.data[j] * xp[j:j + c]
+
+    def back(g):
+        if w.requires_grad:
+            T._accum(w, np.array([float(np.dot(g, xp[j:j + c])) for j in range(k)]))
+        if x.requires_grad:
+            gp = np.zeros(c + 2 * r)
+            for j in range(k):
+                gp[j:j + c] += w.data[j] * g
+            T._accum(x, gp[r:r + c])
+
+    return T._result(out, "conv1d_same", (x, w), back)

@@ -9,7 +9,7 @@ from evlight.blocks import (ChannelAttention, EcaResidual, Hfe, Hrf,
                             RegionalSelect)
 from evlight.tensor import ShapeError, Tensor
 
-from helpers import fd_gradcheck, rand_tensor
+from helpers import conv1d_same, fd_gradcheck, max_rel_err, rand_tensor
 
 
 def _randomize(module, rng, scale=0.3):
@@ -45,6 +45,29 @@ class TestEcaResidual:
             return T.mean(T.mul(y, y))
 
         fd_gradcheck(build, [x] + blk.parameters())
+
+    def test_gate_matches_conv1d_same_oracle(self, rng):
+        blk = _randomize(EcaResidual(rng, 6), rng)
+        x = rand_tensor(rng, (5, 7, 6))
+
+        def reference(x):
+            h = blk.conv2.forward(T.leaky_relu(blk.conv1.forward(x), 0.2))
+            gate = T.sigmoid(T.add(conv1d_same(T.global_avg_pool(h), blk.eca_weight),
+                                   blk.eca_bias))
+            return T.add(x, T.mul(h, gate))
+
+        leaves = [x] + blk.parameters()
+        runs = []
+        for fwd in (blk.forward, reference):
+            for t in leaves:
+                t.grad = None
+            y = fwd(x)
+            T.backward(T.mean(T.mul(y, y)))
+            runs.append((y.data, [t.grad for t in leaves]))
+        (y, grads), (y_ref, grads_ref) = runs
+        assert np.array_equal(y, y_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert max_rel_err(g, g_ref) <= 1e-12
 
 
 class TestRegionalSelect:

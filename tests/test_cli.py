@@ -157,6 +157,36 @@ class TestEnhance:
         assert en.shape == (32, 32, 3)
         assert en.min() >= 0.0 and en.max() <= 1.0
 
+    def test_csv_events_equal_evst_events(self, tmp_path, rng):
+        # a CSV file has no sensor header, and these events stop short of
+        # the right and bottom edges: a sensor inferred from them would be
+        # smaller than the image
+        low_path = str(tmp_path / "low.ppm")
+        write_image(low_path, rng.uniform(0.02, 0.25, (32, 32, 3)))
+        stream = EventStream(32, 32, np.sort(rng.integers(0, 1000, 80)),
+                             rng.integers(0, 26, 80), rng.integers(0, 23, 80),
+                             rng.choice([-1, 1], 80))
+        ckpt = str(tmp_path / "m.evlt")
+        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        outs = []
+        for ext in ("evst", "csv"):
+            ev_path = str(tmp_path / f"ev.{ext}")
+            write_events(stream, ev_path)
+            outs.append(str(tmp_path / f"en_{ext}.pfm"))
+            assert main(["enhance", "--image", low_path, "--events", ev_path,
+                         "--ckpt", ckpt, "--out", outs[-1]]) == 0
+        assert filecmp.cmp(*outs, shallow=False)
+
+    def test_csv_event_outside_the_image_rejected(self, tmp_path, rng, capsys):
+        low_path, _ = _write_scene(tmp_path, rng)
+        ev_path = tmp_path / "ev.csv"
+        ev_path.write_text("t,x,y,p\n1,3,3,1\n2,32,3,-1\n")
+        ckpt = str(tmp_path / "m.evlt")
+        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        assert main(["enhance", "--image", low_path, "--events", str(ev_path),
+                     "--ckpt", ckpt, "--out", str(tmp_path / "en.pfm")]) == 1
+        assert "line 3: x=32 out of bounds (sensor 32x32)" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def _config_file(self, tmp_path):
@@ -268,6 +298,26 @@ class TestTrainEval:
                      "--out-dir", str(out_dir),
                      "--config", self._config_file(tmp_path), flag, value]) == 1
         assert f"{flag[2:]} must be >= " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("args,config_line,message", [
+        (["--lr", "-1"], "", "lr must be > 0"),
+        ([], "grad_clip = -1\n", "grad_clip must be > 0"),
+        (["--tau", "1.5"], "", "tau must lie in [0, 1]"),
+        ([], "heads = 3\n", "base_channels 4 must be a positive multiple of heads 3"),
+    ])
+    def test_setting_the_loop_cannot_honour_exits_one_before_writing(
+            self, tmp_path, capsys, args, config_line, message):
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "1", "--size", "32"])
+        capsys.readouterr()
+        cfg = self._config_file(tmp_path)
+        with open(cfg, "a") as f:
+            f.write(config_line)
+        out_dir = tmp_path / "run"
+        assert main(["train", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+                     "--out-dir", str(out_dir), "--config", cfg, *args]) == 1
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_eval_empty_manifest_exits_one(self, tmp_path, capsys):

@@ -190,6 +190,14 @@ class TestEventIO:
         with pytest.raises(EventFormatError, match="line 3"):
             read_events(str(p))
 
+    @pytest.mark.parametrize("row,bad", [("9,4,1,1", "x=4"), ("9,1,-1,1", "y=-1")])
+    def test_csv_event_outside_the_sensor_names_its_line(self, tmp_path, row, bad):
+        p = tmp_path / "e.csv"
+        p.write_text(f"t,x,y,p\n1,0,0,1\n{row}\n")
+        with pytest.raises(EventFormatError,
+                           match=f"line 3: {bad} out of bounds \\(sensor 4x3\\)"):
+            read_events(str(p), width=4, height=3)
+
     def test_csv_write_matches_per_event_loop(self, rng, tmp_path):
         for n in (0, 1, 500):
             s = _random_stream(rng, n, tmax=2**40)

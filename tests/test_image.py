@@ -48,25 +48,32 @@ def ssim_oracle(a, b):
 
 class TestToGray:
     def test_white_is_one(self):
-        assert to_gray(np.ones((2, 2, 3)))[0, 0, 0] == pytest.approx(1.0)
+        assert to_gray(np.ones((2, 2, 3)))[0, 0] == pytest.approx(1.0)
 
     def test_pure_red(self):
         img = np.zeros((1, 1, 3))
         img[0, 0, 0] = 1.0
-        assert to_gray(img)[0, 0, 0] == pytest.approx(0.299)
+        assert to_gray(img)[0, 0] == pytest.approx(0.299)
 
     def test_matches_scalar_oracle(self, rng):
         img = rng.uniform(0, 1, (5, 6, 3))
         g = to_gray(img)
+        assert g.shape == (5, 6)
         for i in range(5):
             for j in range(6):
                 expect = (0.299 * img[i, j, 0] + 0.587 * img[i, j, 1]
                           + 0.114 * img[i, j, 2])
-                assert g[i, j, 0] == pytest.approx(expect, abs=1e-12)
+                assert g[i, j] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 1)])
+    def test_one_channel_is_returned_as_is(self, rng, shape):
+        img = rng.uniform(0, 1, shape)
+        assert np.array_equal(to_gray(img), img.reshape(4, 5))
 
     def test_wrong_channels(self):
-        with pytest.raises(ValueError):
-            to_gray(np.ones((4, 4, 1)))
+        for shape in ((4, 4, 2), (4, 4, 4), (4,), (2, 4, 4, 3)):
+            with pytest.raises(ValueError):
+                to_gray(np.ones(shape))
 
 
 class TestPsnr:

@@ -6,7 +6,8 @@ from evlight import _kernels as _k
 from evlight import tensor as T
 from evlight.tensor import NonFiniteError, Parameter, ShapeError, Tensor
 
-from helpers import fd_gradcheck, rand_tensor
+import helpers
+from helpers import fd_gradcheck, max_rel_err, rand_tensor
 
 
 class TestTensorBasics:
@@ -380,6 +381,22 @@ class TestDeconv2d:
         fd_gradcheck(lambda x, w, b: T.mean(
             T.mul(T.deconv2d(x, w, b), T.deconv2d(x, w, b))), [x, w, b], tol=1e-6)
 
+    def test_matches_hand_written_oracle(self, rng):
+        x = rand_tensor(rng, (5, 7, 6))
+        w = rand_tensor(rng, (2, 2, 6, 4), scale=0.4)
+        b = rand_tensor(rng, (4,))
+        runs = []
+        for op in (T.deconv2d, helpers.deconv2d):
+            for t in (x, w, b):
+                t.grad = None
+            y = op(x, w, b)
+            T.backward(T.mean(T.mul(y, y)))
+            runs.append((y.data, x.grad, w.grad, b.grad))
+        (y, *grads), (y_ref, *grads_ref) = runs
+        assert np.array_equal(y, y_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert max_rel_err(g, g_ref) <= 1e-12
+
     def test_non_doubling_rejected(self):
         with pytest.raises(ShapeError):
             T.deconv2d(Tensor(np.ones((2, 2, 1))), Tensor(np.ones((3, 3, 1, 1))),
@@ -393,41 +410,52 @@ class TestPoolingAndDwConv:
         fd_gradcheck(lambda x: T.mean(T.mul(T.global_avg_pool(x),
                                             T.global_avg_pool(x))), [x])
 
+    @staticmethod
+    def _dwconv_loop(x, w, b):
+        kh, kw, c = w.shape
+        xp = np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+        out = np.zeros_like(x)
+        for i in range(x.shape[0]):
+            for j in range(x.shape[1]):
+                for ch in range(c):
+                    out[i, j, ch] = np.sum(
+                        xp[i:i + kh, j:j + kw, ch] * w[:, :, ch]) + b[ch]
+        return out
+
     def test_dwconv_matches_loop_oracle(self, rng):
-        x = rand_tensor(rng, (6, 7, 3), requires_grad=False)
-        w = rand_tensor(rng, (3, 3, 3), requires_grad=False)
-        b = rand_tensor(rng, (3,), requires_grad=False)
-        y = T.dwconv2d(x, w, b).data
-        xp = np.pad(x.data, ((1, 1), (1, 1), (0, 0)))
-        expect = np.zeros_like(y)
-        for i in range(6):
-            for j in range(7):
-                for c in range(3):
-                    expect[i, j, c] = np.sum(
-                        xp[i:i + 3, j:j + 3, c] * w.data[:, :, c]) + b.data[c]
-        assert np.allclose(y, expect, atol=1e-12)
+        for kh, kw in ((3, 3), (1, 3), (3, 1)):
+            x = rand_tensor(rng, (6, 7, 3), requires_grad=False)
+            w = rand_tensor(rng, (kh, kw, 3), requires_grad=False)
+            b = rand_tensor(rng, (3,), requires_grad=False)
+            y = T.dwconv2d(x, w, b).data
+            assert np.allclose(y, self._dwconv_loop(x.data, w.data, b.data),
+                               atol=1e-12)
 
     def test_dwconv_grad(self, rng):
-        x = rand_tensor(rng, (5, 5, 2))
-        w = rand_tensor(rng, (3, 3, 2), scale=0.4)
-        b = rand_tensor(rng, (2,))
-        fd_gradcheck(lambda x, w, b: T.mean(
-            T.mul(T.dwconv2d(x, w, b), T.dwconv2d(x, w, b))), [x, w, b], tol=1e-6)
+        for kh, kw in ((3, 3), (1, 3), (3, 1)):
+            x = rand_tensor(rng, (5, 5, 2))
+            w = rand_tensor(rng, (kh, kw, 2), scale=0.4)
+            b = rand_tensor(rng, (2,))
+            fd_gradcheck(lambda x, w, b: T.mean(
+                T.mul(T.dwconv2d(x, w, b), T.dwconv2d(x, w, b))), [x, w, b],
+                tol=1e-6)
 
     def test_dwconv_even_kernel_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            T.dwconv2d(Tensor(np.ones((4, 4, 1))), Tensor(np.ones((2, 2, 1))),
-                       Tensor(np.zeros(1)))
+        for kh, kw in ((2, 2), (2, 3), (3, 2), (1, 2), (2, 1)):
+            with pytest.raises(ShapeError):
+                T.dwconv2d(Tensor(np.ones((4, 4, 1))), Tensor(np.ones((kh, kw, 1))),
+                           Tensor(np.zeros(1)))
 
     def test_conv1d_same(self, rng):
+        # the oracle the ECA gate's 1x3 dwconv2d is held to (test_blocks)
         x = rand_tensor(rng, (8,))
         w = rand_tensor(rng, (3,))
-        y = T.conv1d_same(x, w).data
+        y = helpers.conv1d_same(x, w).data
         xp = np.pad(x.data, 1)
         expect = np.array([np.dot(w.data, xp[i:i + 3]) for i in range(8)])
         assert np.allclose(y, expect, atol=1e-12)
-        fd_gradcheck(lambda x, w: T.mean(T.mul(T.conv1d_same(x, w),
-                                               T.conv1d_same(x, w))), [x, w])
+        fd_gradcheck(lambda x, w: T.mean(T.mul(helpers.conv1d_same(x, w),
+                                               helpers.conv1d_same(x, w))), [x, w])
 
 
 class TestCompositeChain:

@@ -39,6 +39,13 @@ class TestCharbonnier:
         fd_gradcheck(lambda *_: charbonnier(en, gt), [en], tol=1e-6)
 
 
+class _IdentityFeatures:
+    """A perceptual extractor whose one feature map is its input."""
+
+    def features(self, x):
+        return [x]
+
+
 class TestPerceptual:
     def test_zero_at_equal_inputs(self, rng):
         phi = RandomConvFeatures()
@@ -46,14 +53,14 @@ class TestPerceptual:
         assert perceptual(Tensor(x), x, phi).item() == 0.0
 
     def test_identity_stage_reduces_to_mean_l1(self, rng):
-        phi = RandomConvFeatures.identity()
+        phi = _IdentityFeatures()
         en = rng.uniform(0, 1, (6, 6, 3))
         gt = rng.uniform(0, 1, (6, 6, 3))
         got = perceptual(Tensor(en), gt, phi).item()
         assert abs(got - np.mean(np.abs(en - gt))) < 1e-15
 
     def test_identity_stage_gradient_is_sign(self, rng):
-        phi = RandomConvFeatures.identity()
+        phi = _IdentityFeatures()
         en = Tensor(rng.uniform(0, 1, (5, 5, 3)), requires_grad=True)
         gt = rng.uniform(0, 1, (5, 5, 3))
         T.backward(perceptual(en, gt, phi))
@@ -68,8 +75,8 @@ class TestPerceptual:
     def test_frozen_stages_are_seed_deterministic(self):
         a = RandomConvFeatures(seed=9)
         b = RandomConvFeatures(seed=9)
-        for (wa, ba, sa), (wb, bb, sb) in zip(a.stages, b.stages):
-            assert np.array_equal(wa.data, wb.data) and sa == sb
+        for (wa, _), (wb, _) in zip(a.stages, b.stages):
+            assert np.array_equal(wa.data, wb.data)
 
     def test_pyramid_has_three_downsampling_stages(self, rng):
         phi = RandomConvFeatures()
@@ -86,7 +93,7 @@ class TestTotalLoss:
         assert ch == loss.item() and pe == 0.0
 
     def test_weighted_sum(self, rng):
-        phi = RandomConvFeatures.identity()
+        phi = _IdentityFeatures()
         en = Tensor(rng.uniform(0, 1, (5, 5, 3)))
         gt = rng.uniform(0, 1, (5, 5, 3))
         loss, ch, pe = total_loss(en, gt, 0.3, phi)
@@ -260,6 +267,21 @@ class TestParseConfig:
         cfg_file.write_text(line + "\n")
         key = line.split(" ")[0]
         with pytest.raises(ValueError, match=f"{key} must be >= "):
+            parse_config(str(cfg_file))
+
+    @pytest.mark.parametrize("lines,message", [
+        ("lr = -1\n", "lr must be > 0"),
+        ("lr = 0\n", "lr must be > 0"),
+        ("grad_clip = -1\n", "grad_clip must be > 0"),
+        ("tau = 1.5\n", "tau must lie in"),
+        ("tau = -0.1\n", "tau must lie in"),
+        ("heads = 3\nbase_channels = 4\n", "multiple of heads 3"),
+        ("heads = 0\n", "multiple of heads 0"),
+    ])
+    def test_settings_the_loop_cannot_honour_rejected(self, tmp_path, lines, message):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(lines)
+        with pytest.raises(ValueError, match=message):
             parse_config(str(cfg_file))
 
     def test_direct_validation(self):
