@@ -7,6 +7,7 @@ accepted for hand-written fixtures.
 """
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -188,7 +189,9 @@ def _read_events_binary(buf: bytes, path: str) -> EventStream:
 def _read_events_csv(text: str, path: str,
                      width: int | None, height: int | None) -> EventStream:
     rows = []
-    lines = text.splitlines()
+    lines = text.splitlines(keepends=True)
+    # offsets[n-1] is where line n starts; ASCII, so characters are bytes
+    offsets = [0, *itertools.accumulate(map(len, lines))]
     start = 1 if lines and lines[0].strip().replace(" ", "") == "t,x,y,p" else 0
     for ln, line in enumerate(lines[start:], start + 1):
         line = line.strip()
@@ -196,11 +199,12 @@ def _read_events_csv(text: str, path: str,
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise EventFormatError(f"{path}: line {ln}: expected 4 fields", ln)
+            raise EventFormatError(f"{path}: line {ln}: expected 4 fields",
+                                   offsets[ln - 1])
         try:
             rows.append((ln, *(int(v) for v in parts)))
         except ValueError as exc:
-            raise EventFormatError(f"{path}: line {ln}: {exc}", ln) from None
+            raise EventFormatError(f"{path}: line {ln}: {exc}", offsets[ln - 1]) from None
     arr = np.asarray(rows, dtype=np.int64).reshape(-1, 5)
     lns, t, x, y, p = arr.T
     w = width if width is not None else int(x.max(initial=0)) + 1
@@ -210,7 +214,7 @@ def _read_events_csv(text: str, path: str,
         if bad.size:
             ln = int(lns[bad[0]])
             raise EventFormatError(f"{path}: line {ln}: {name}={int(vals[bad[0]])} "
-                                   f"out of bounds (sensor {w}x{h})", ln)
+                                   f"out of bounds (sensor {w}x{h})", offsets[ln - 1])
     return _finish_stream(w, h, t, x, y, p)
 
 

@@ -12,12 +12,20 @@ Anything else is rejected.
 
 Values are float64 throughout and must stay finite; any op that produces
 NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
-record no graph, so inference keeps no backward buffers alive.
+record no graph, so inference keeps no backward buffers alive; the scope is
+per thread, so one thread can infer while another records a graph.
+
+:func:`backward` frees the tape as it goes: once a node's closure has run,
+the node drops its gradient, closure and parents, so activations are freed
+during the pass and only leaves keep ``grad``. Given a ``sink`` dict, it
+sends leaf gradients there instead of into ``grad``, so threads can run
+backward over graphs that share parameters.
 """
 from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,19 +98,26 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
-_grad_enabled = True
+class _ThreadState(threading.local):
+    """Per-thread engine state; the class attributes are each thread's defaults."""
+
+    grad_enabled = True
+    sink: dict | None = None  # where backward sends leaf gradients, if anywhere
+
+
+_state = _ThreadState()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Scope in which op results keep neither parents nor backward closures."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Scope in which this thread's op results keep neither parents nor
+    backward closures."""
+    prev = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _state.grad_enabled = prev
 
 
 def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
@@ -111,7 +126,7 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
@@ -125,15 +140,26 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
+    sink = _state.sink
+    if sink is not None and t._backward is None:
+        prev = sink.get(t)
+        if prev is None:
+            sink[t] = g.copy()
+        else:
+            prev += g
+    elif t.grad is None:
         t.grad = g.copy()
     else:
         t.grad += g
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every reachable node that requires it.
+def backward(loss: Tensor, sink: dict | None = None) -> None:
+    """Accumulate the gradient of ``loss`` into every leaf that requires it.
 
+    A leaf (a node that requires grad and has no backward closure) gets it
+    in ``grad``, or in ``sink[leaf]`` when a sink dict is given, leaving
+    ``grad`` untouched. Each interior node drops its gradient, closure and
+    parents once its closure has run, so the graph is spent afterwards.
     Traversal order is a deterministic function of graph structure, so two
     runs over identical graphs produce bit-identical gradients.
     """
@@ -153,10 +179,19 @@ def backward(loss: Tensor) -> None:
         stack.append((node, True))
         for p in reversed(node._parents):
             stack.append((p, False))
-    _accum(loss, np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    prev, _state.sink = _state.sink, sink
+    try:
+        _accum(loss, np.ones_like(loss.data))
+        # pop, so a node's data is freed once its consumers are done with it
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, None, ()
+    finally:
+        _state.sink = prev
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +388,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 # reductions, shaping, linear algebra
 # ---------------------------------------------------------------------------
 
-def tsum(x: Tensor) -> Tensor:
-    def back(g, x=x):
-        _accum(x, np.broadcast_to(g, x.shape).copy())
-
-    return _result(np.asarray(x.data.sum()), "sum", (x,), back)
-
-
 def mean(x: Tensor) -> Tensor:
     n = x.data.size
 
@@ -477,6 +505,11 @@ def _mec(xp: np.ndarray, wrows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pad(a: np.ndarray, p: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of [H,W,C] by p; a no-op for p = 0."""
+    return np.pad(a, ((p, p), (p, p), (0, 0))) if p else a
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D correlation on [H,W,Cin] with a [k,k,Cin,Cout] kernel.
 
@@ -502,22 +535,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise ShapeError("conv2d", 0, f">= kernel {k} after padding", (h, wd))
     hout = (h + 2 * padding - k) // stride + 1
     wout = (wd + 2 * padding - k) // stride + 1
-    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0))) \
-        if padding else x.data
     if stride == 1:
-        return _conv2d_mec(x, w, b, xp, padding, hout, wout)
-    cols = _k.im2col(xp, k, stride, hout, wout)
-    wmat = w.data.reshape(k * k * cin, cout)
-    out = (cols @ wmat + b.data).reshape(hout, wout, cout)
+        return _conv2d_mec(x, w, b, padding, hout, wout)
+    out = (_k.im2col(_pad(x.data, padding), k, stride, hout, wout)
+           @ w.data.reshape(k * k * cin, cout) + b.data).reshape(hout, wout, cout)
 
-    def back(g, x=x, w=w, b=b, cols=cols, wmat=wmat):
+    def back(g, x=x, w=w, b=b):
+        # the unfold is 2.25-4x the input: redo it rather than keep it alive
         gmat = g.reshape(-1, cout)
         if w.requires_grad:
+            cols = _k.im2col(_pad(x.data, padding), k, stride, hout, wout)
             _accum(w, (cols.T @ gmat).reshape(w.shape))
         if b.requires_grad:
             _accum(b, gmat.sum(axis=0))
         if x.requires_grad:
-            gcols = np.ascontiguousarray(gmat @ wmat.T)
+            gcols = np.ascontiguousarray(gmat @ w.data.reshape(k * k * cin, cout).T)
             gp = _k.col2im(gcols, k, stride, h + 2 * padding, wd + 2 * padding,
                            cin, hout, wout)
             if padding:
@@ -527,18 +559,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     return _result(out, "conv2d", (x, w, b), back)
 
 
-def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, xp: np.ndarray, padding: int,
+def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, padding: int,
                 hout: int, wout: int) -> Tensor:
     k, _, cin, cout = w.shape
-    out = _mec(xp, w.data.reshape(k, k * cin, cout))
+    out = _mec(_pad(x.data, padding), w.data.reshape(k, k * cin, cout))
     out += b.data
 
-    def back(g, x=x, w=w, b=b, xp=xp):
+    def back(g, x=x, w=w, b=b):
         gmat = g.reshape(-1, cout)
         if w.requires_grad:
-            # re-unfold band by band rather than keep the unfold alive
+            # re-pad and re-unfold band by band rather than keep either alive
             gw = np.zeros((k, k * cin, cout))
-            for h0, r, u in _bands(xp, k):
+            for h0, r, u in _bands(_pad(x.data, padding), k):
                 gb = gmat[h0 * wout:(h0 + r) * wout]
                 for ki in range(k):
                     gw[ki] += u[ki * wout:(ki + r) * wout].T @ gb
@@ -549,8 +581,7 @@ def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, xp: np.ndarray, padding: int,
             # full correlation with the flipped kernel; padding g by k-1-p
             # (cropping when negative) lands it on x's extent directly
             q = k - 1 - padding
-            gq = np.pad(g, ((q, q), (q, q), (0, 0))) if q > 0 else \
-                g[-q:g.shape[0] + q, -q:g.shape[1] + q]
+            gq = _pad(g, q) if q >= 0 else g[-q:g.shape[0] + q, -q:g.shape[1] + q]
             wf = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k, k * cout, cin)
             _accum(x, _mec(gq, wf).reshape(x.shape))
 
@@ -568,12 +599,12 @@ def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.shape[2] != c or b.shape != (c,):
         raise ShapeError("dwconv2d", 2, c, (w.shape[2], b.shape))
     rh, rw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((rh, rh), (rw, rw), (0, 0)))
-    out = _k.dwconv_forward(xp, w.data) + b.data
+    pads = ((rh, rh), (rw, rw), (0, 0))
+    out = _k.dwconv_forward(np.pad(x.data, pads), w.data) + b.data
 
-    def back(g, x=x, w=w, b=b, xp=xp):
+    def back(g, x=x, w=w, b=b):
         if w.requires_grad:
-            _accum(w, _k.dwconv_grad_weight(xp, g))
+            _accum(w, _k.dwconv_grad_weight(np.pad(x.data, pads), g))
         if b.requires_grad:
             _accum(b, g.sum(axis=(0, 1)))
         if x.requires_grad:

@@ -26,7 +26,7 @@ from evlight.module import Conv2d, Deconv2d, load_checkpoint, save_checkpoint
 from evlight.training import (RandomConvFeatures, TrainConfig, charbonnier,
                               perceptual, total_loss, train)
 
-from helpers import fd_gradcheck, rand_tensor
+from helpers import fd_gradcheck, rand_tensor, sum_all
 
 
 def _randomize(module, rng, scale=0.3):
@@ -54,7 +54,7 @@ def test_criterion_01_gradient_suite():
             ("up", Deconv2d(rng, 8, 4), (4, 4, 8)),
             ("head", Conv2d(rng, 3, 4, 3), (6, 6, 4))):
         x = rand_tensor(rng, shape)
-        check(name, lambda *_, c=conv, x=x: T.tsum(c.forward(x)),
+        check(name, lambda *_, c=conv, x=x: sum_all(c.forward(x)),
               [x] + conv.parameters())
 
     # light-up estimator; the illumination prior is a stop-gradient
@@ -66,24 +66,24 @@ def test_criterion_01_gradient_suite():
 
     eca = _randomize(EcaResidual(rng, 4), rng)
     x = rand_tensor(rng, (6, 6, 4))
-    check("eca_residual", lambda *_: T.tsum(eca.forward(x)),
+    check("eca_residual", lambda *_: sum_all(eca.forward(x)),
           [x] + eca.parameters())
 
     mask = (rng.uniform(size=(6, 6)) < 0.5).astype(np.float64)
     for name, invert in (("irfs", False), ("erfs", True)):
         sel = _randomize(RegionalSelect(rng, 4, invert=invert), rng)
         x = rand_tensor(rng, (6, 6, 4))
-        check(name, lambda *_, s=sel, x=x: T.tsum(s.forward(x, mask)),
+        check(name, lambda *_, s=sel, x=x: sum_all(s.forward(x, mask)),
               [x] + sel.parameters())
 
     hfe = _randomize(Hfe(rng, 4, heads=2), rng)
     hfe.attn.alpha.data = np.array([1.0, 1.3])  # temperatures away from 0
     x = rand_tensor(rng, (4, 4, 4))
-    check("hfe", lambda *_: T.tsum(hfe.forward(x)), [x] + hfe.parameters())
+    check("hfe", lambda *_: sum_all(hfe.forward(x)), [x] + hfe.parameters())
 
     hrf = _randomize(Hrf(rng, 2), rng)
     xs = [rand_tensor(rng, (4, 4, 2)) for _ in range(3)]
-    check("hrf", lambda *_: T.tsum(hrf.forward(*xs)), xs + hrf.parameters())
+    check("hrf", lambda *_: sum_all(hrf.forward(*xs)), xs + hrf.parameters())
 
     gt = rng.uniform(0.1, 0.9, (8, 8, 3))
     en = T.Tensor(gt + rng.normal(0.0, 0.1, gt.shape), requires_grad=True)

@@ -198,6 +198,16 @@ class TestEventIO:
                            match=f"line 3: {bad} out of bounds \\(sensor 4x3\\)"):
             read_events(str(p), width=4, height=3)
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("bad", [b"4,5", b"4,x,1,1", b"9,4,1,1"])
+    def test_csv_error_offset_is_the_bad_lines_first_byte(self, tmp_path, eol, bad):
+        head = [b"t,x,y,p" + eol, b"1,2,1,1" + eol]
+        p = tmp_path / "e.csv"
+        p.write_bytes(b"".join(head) + bad + eol)
+        with pytest.raises(EventFormatError, match="line 3") as e:
+            read_events(str(p), width=4, height=3)
+        assert e.value.offset == len(b"".join(head))
+
     def test_csv_write_matches_per_event_loop(self, rng, tmp_path):
         for n in (0, 1, 500):
             s = _random_stream(rng, n, tmax=2**40)

@@ -1,4 +1,7 @@
 """Autodiff substrate: op semantics, gradients vs finite differences."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from evlight import tensor as T
 from evlight.tensor import NonFiniteError, Parameter, ShapeError, Tensor
 
 import helpers
-from helpers import fd_gradcheck, max_rel_err, rand_tensor
+from helpers import fd_gradcheck, max_rel_err, rand_tensor, sum_all
 
 
 class TestTensorBasics:
@@ -37,12 +40,12 @@ class TestTensorBasics:
 class TestBackwardContract:
     def test_sum_grad_ones(self):
         x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
-        T.backward(T.tsum(x))
+        T.backward(sum_all(x))
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_square_grad_2x(self):
         x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
-        T.backward(T.tsum(T.mul(x, x)))
+        T.backward(sum_all(T.mul(x, x)))
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_nonscalar_loss_rejected(self):
@@ -68,8 +71,84 @@ class TestBackwardContract:
 
     def test_grad_accumulates_on_reuse(self):
         x = Tensor(np.full(4, 3.0), requires_grad=True)
-        T.backward(T.tsum(T.add(x, x)))
+        T.backward(sum_all(T.add(x, x)))
         assert np.array_equal(x.grad, np.full(4, 2.0))
+
+    @staticmethod
+    def _graph(rng):
+        """(loss, interior nodes, parameters) of a small conv graph."""
+        x = Tensor(rng.standard_normal((6, 6, 2)))
+        w = Parameter(rng.standard_normal((3, 3, 2, 3)) * 0.3)
+        b = Parameter(np.zeros(3))
+        y = T.conv2d(x, w, b, 1, 1)
+        z = T.gelu(y)
+        loss = T.mean(T.mul(z, z))
+        return loss, [y, z, loss], [w, b]
+
+    def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self, rng):
+        loss, interior, params = self._graph(rng)
+        T.backward(loss)
+        for t in interior:
+            assert t.grad is None and t._parents == () and t._backward is None
+        assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
+
+    def test_sink_receives_leaf_grads_and_grad_stays_untouched(self, rng):
+        loss, _, (w, b) = self._graph(np.random.default_rng(3))
+        T.backward(loss)
+        want = {"w": w.grad, "b": b.grad}
+        loss, _, (w, b) = self._graph(np.random.default_rng(3))
+        b.grad = np.full(3, 7.0)
+        sink = {}
+        T.backward(loss, sink)
+        assert set(sink) == {w, b}
+        assert w.grad is None and np.array_equal(b.grad, np.full(3, 7.0))
+        assert np.array_equal(sink[w], want["w"]) and np.array_equal(sink[b], want["b"])
+        # the sink lasts only for that call
+        loss, _, (w, _) = self._graph(rng)
+        T.backward(loss)
+        assert w.grad is not None
+
+    def test_threads_sharing_parameters_fill_only_their_own_sinks(self):
+        # more threads than cores, switching often: a sink or a no_grad flag
+        # leaking across threads would change a gradient or drop a graph
+        rng = np.random.default_rng(5)
+        w = Parameter(rng.standard_normal((3, 3, 2, 3)) * 0.3)
+        b = Parameter(np.zeros(3))
+        xs = [Tensor(rng.standard_normal((8, 8, 2))) for _ in range(6)]
+
+        def loss_of(x):
+            return T.mean(T.gelu(T.conv2d(x, w, b, 1, 1)))
+
+        want = []
+        for x in xs:
+            sink = {}
+            T.backward(loss_of(x), sink)
+            want.append(sink)
+        got = [None] * len(xs)
+
+        def work(i):
+            for _ in range(5):
+                with T.no_grad():
+                    assert not loss_of(xs[i]).requires_grad
+                sink = {}
+                T.backward(loss_of(xs[i]), sink)
+                got[i] = sink
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(xs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert w.grad is None and b.grad is None
+        for g, ref in zip(got, want):
+            assert g is not None and set(g) == {w, b}
+            assert all(np.array_equal(g[p], ref[p]) for p in (w, b))
 
 
 class TestElementwiseOps:
@@ -111,7 +190,7 @@ class TestElementwiseOps:
         m = rand_tensor(rng, (4, 5, 1))
         y = T.mul(x, m)
         assert np.array_equal(y.data, x.data * m.data[:, :, 0][:, :, None])
-        T.backward(T.tsum(y))
+        T.backward(sum_all(y))
         assert m.grad.shape == (4, 5, 1)
         assert np.array_equal(m.grad, x.data.sum(axis=2, keepdims=True))
 
@@ -288,7 +367,7 @@ class TestConv2d:
         b = rand_tensor(rng, (cout,))
         y = T.conv2d(x, w, b, 1, padding)
         gy = rng.standard_normal(y.shape)
-        T.backward(T.tsum(T.mul(y, Tensor(gy))))
+        T.backward(sum_all(T.mul(y, Tensor(gy))))
         ref = _im2col_conv_reference(x.data, w.data, b.data, padding, gy)
         for got, want in zip((y.data, x.grad, w.grad, b.grad), ref):
             assert got.shape == want.shape
@@ -319,7 +398,7 @@ class TestConv2d:
         hout = y.shape[0]
         assert rows == [band] * (hout // band) + [hout % band] * (hout % band > 0)
         gy = rng.standard_normal(y.shape)
-        T.backward(T.tsum(T.mul(y, Tensor(gy))))
+        T.backward(sum_all(T.mul(y, Tensor(gy))))
         ref = _im2col_conv_reference(x.data, w.data, b.data, padding, gy)
         for got, want in zip((y.data, x.grad, w.grad, b.grad), ref):
             assert got.shape == want.shape
@@ -335,6 +414,25 @@ class TestConv2d:
         arrays = [v.data if isinstance(v, Tensor) else v for v in held]
         unfold = (16 + 2 * padding) * y.shape[1] * k * 8 * 8  # bytes
         assert max(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < unfold / 2
+
+    @pytest.mark.parametrize("op", ["padded", "stride2", "depthwise"])
+    def test_backward_holds_only_its_inputs(self, rng, op):
+        # no padded copy or unfold of x: backward redoes them from x.data
+        x = rand_tensor(rng, (12, 10, 4))
+        if op == "depthwise":
+            w, b = rand_tensor(rng, (3, 3, 4)), rand_tensor(rng, (4,))
+            y = T.dwconv2d(x, w, b)
+        else:
+            w, b = rand_tensor(rng, (3, 3, 4, 6)), rand_tensor(rng, (6,))
+            y = T.conv2d(x, w, b, 2 if op == "stride2" else 1, 1)
+        back = y._backward
+        held = list(back.__defaults__ or ()) + [c.cell_contents for c in back.__closure__ or ()]
+        inputs = (x, w, b)
+        for v in held:
+            if isinstance(v, Tensor):
+                assert any(v is t for t in inputs)
+            elif isinstance(v, np.ndarray):
+                assert any(np.shares_memory(v, t.data) for t in inputs)
 
     def test_stride2_grad(self, rng):
         x = rand_tensor(rng, (8, 8, 2))
@@ -489,6 +587,29 @@ class TestNoGrad:
                 raise RuntimeError("boom")
         y = T.mul(x, 2.0)
         assert y.requires_grad and y._parents == (x,)
+
+    def test_scope_is_per_thread(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        inside, release = threading.Event(), threading.Event()
+        seen = []
+
+        def infer():
+            with T.no_grad():
+                inside.set()
+                release.wait(10)
+                seen.append(T.mul(x, 2.0).requires_grad)
+
+        t = threading.Thread(target=infer)
+        t.start()
+        try:
+            assert inside.wait(10)
+            y = T.mul(x, 2.0)
+        finally:
+            release.set()
+            t.join(10)
+        assert not t.is_alive()
+        assert y.requires_grad and y._parents == (x,)
+        assert seen == [False]
 
     def test_nonfinite_still_raised(self):
         x = Tensor(np.array([1e308]), requires_grad=True)

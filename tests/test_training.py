@@ -2,6 +2,8 @@
 import filecmp
 import math
 import os
+import re
+import threading
 import weakref
 
 import numpy as np
@@ -289,6 +291,13 @@ class TestParseConfig:
             TrainConfig(lam=-0.1)
 
 
+def _one_blas_thread(monkeypatch):
+    """BLAS set to one thread, so every usable core takes a sample of its own."""
+    for var in training._BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
 def _tiny_config(**kw):
     base = dict(lr=1e-3, steps=2, crop=16, lam=0.1, seed=11, bins=4,
                 base_channels=4, heads=2)
@@ -396,3 +405,91 @@ class TestTrainLoop:
         # diverge because the perceptual term steers the parameters
         assert rows_a[0][2] == rows_b[0][2]
         assert rows_a[1][2] != rows_b[1][2]
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_outputs_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch, batch):
+        man = fixtures(str(tmp_path / "data"), seed=3, count=3, size=32)
+        forward = training.EvLightModel.forward
+        main = threading.get_ident()
+        threads = set()  # True for a forward in the calling thread
+
+        def spy(self, *args, **kwargs):
+            threads.add(threading.get_ident() == main)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(training.EvLightModel, "forward", spy)
+        _one_blas_thread(monkeypatch)
+        runs = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            threads.clear()
+            out = tmp_path / f"cores{len(cores)}"
+            runs.append(train(man, _tiny_config(batch=batch, steps=3), str(out)))
+            # one sample per usable core: the second core runs a sample of its own
+            assert len(threads) == len(cores)
+        (ckpt1, csv1), (ckpt2, csv2) = runs
+        assert filecmp.cmp(csv1, csv2, shallow=False)
+        assert filecmp.cmp(ckpt1, ckpt2, shallow=False)
+
+    def test_a_failing_sample_thread_fails_the_run(self, tmp_path, monkeypatch):
+        man = fixtures(str(tmp_path / "data"), seed=3, count=2, size=32)
+        forward = training.EvLightModel.forward
+        main = threading.get_ident()
+
+        def spy(self, *args, **kwargs):
+            if threading.get_ident() != main:
+                raise T.NonFiniteError("conv2d produced non-finite values")
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(training.EvLightModel, "forward", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _one_blas_thread(monkeypatch)
+        with pytest.raises(T.NonFiniteError, match="conv2d"):
+            train(man, _tiny_config(batch=2), str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("cores,env,batch,want", [
+        (4, {}, 8, 1),                              # BLAS's default: every core
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 8, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),  # never more than the batch
+        (4, {"OMP_NUM_THREADS": "2"}, 8, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 1),
+        (2, {"MKL_NUM_THREADS": "8"}, 8, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 8, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "0"}, 8, 1),  # 0 leaves BLAS its default
+    ])
+    def test_samples_run_on_the_cores_blas_leaves_free(self, monkeypatch, cores, env,
+                                                      batch, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        for var in training._BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, val in env.items():
+            monkeypatch.setenv(var, val)
+        assert training._sample_threads(batch) == want
+
+    def test_log_reports_grad_norm_clipping_and_step_time(self, tmp_path, monkeypatch):
+        man = fixtures(str(tmp_path / "data"), seed=3, count=1, size=32)
+        norms = []
+
+        def spy(params, max_norm):
+            # the norm recomputed independently, from the unclipped gradients
+            norms.append(math.sqrt(sum(float(np.sum(p.grad ** 2))
+                                       for p in params if p.grad is not None)))
+            return clip_grad_norm(params, max_norm)
+
+        monkeypatch.setattr(training, "clip_grad_norm", spy)
+        lines = []
+        for grad_clip in (1e3, 1e-3):
+            lines.clear()
+            norms.clear()
+            train(man, _tiny_config(grad_clip=grad_clip), str(tmp_path / "out"),
+                  log=lines.append)
+            assert len(lines) == len(norms) == 2
+            for k, (line, norm) in enumerate(zip(lines, norms), 1):
+                m = re.fullmatch(r"step (\d+)/2 loss [\d.]+ grad_norm (\S+) "
+                                 r"clipped ([01]) time ([\d.]+)s", line)
+                assert m, line
+                assert int(m[1]) == k
+                assert float(m[2]) == pytest.approx(norm, rel=1e-5)
+                assert m[3] == ("1" if norm > grad_clip else "0")
+                assert float(m[4]) > 0
+            assert {line.split()[7] for line in lines} == {"0" if grad_clip > 1 else "1"}
