@@ -18,9 +18,8 @@ from .model import EvLightModel, enhance_file, infer_architecture
 from .module import (CheckpointError, Module, load_checkpoint, save_checkpoint)
 from .tensor import NonFiniteError, Parameter, ShapeError, Tensor, backward
 from .training import (Adam, RandomConvFeatures, SamplePair, TrainConfig,
-                       adam_step, augment, charbonnier, clip_grad_norm,
-                       parse_config, parse_manifest, perceptual, total_loss,
-                       train)
+                       augment, charbonnier, clip_grad_norm, parse_config,
+                       parse_manifest, perceptual, total_loss, train)
 from .fixtures import fixtures, lowlight_of, make_scene, render_frame
 
 __version__ = "0.1.0"
@@ -38,7 +37,7 @@ __all__ = [
     "EcaResidual", "RegionalSelect", "Hfe", "Hrf",
     "EvLightModel", "enhance_file", "infer_architecture",
     "charbonnier", "perceptual", "total_loss", "RandomConvFeatures",
-    "adam_step", "Adam", "clip_grad_norm", "augment", "train",
+    "Adam", "clip_grad_norm", "augment", "train",
     "TrainConfig", "SamplePair", "parse_manifest", "parse_config",
     "SequenceMeta", "MatchResult", "AlignReport", "interval", "match",
     "align_report",

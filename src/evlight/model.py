@@ -43,17 +43,17 @@ class EvLightModel(Module):
         self.ev_stem = Conv2d(rng, 3, bins, c)
         self.fuse = Conv2d(rng, 3, 2 * c, c)
 
-        self.sel_img_down = [Conv2d(rng, 4, c, 2 * c, stride=2, padding=1),
-                             Conv2d(rng, 4, 2 * c, 4 * c, stride=2, padding=1)]
-        self.sel_ev_down = [Conv2d(rng, 4, c, 2 * c, stride=2, padding=1),
-                            Conv2d(rng, 4, 2 * c, 4 * c, stride=2, padding=1)]
+        self.sel_img_down = [Conv2d(rng, 4, c, 2 * c, stride=2),
+                             Conv2d(rng, 4, 2 * c, 4 * c, stride=2)]
+        self.sel_ev_down = [Conv2d(rng, 4, c, 2 * c, stride=2),
+                            Conv2d(rng, 4, 2 * c, 4 * c, stride=2)]
         self.irfs = [RegionalSelect(rng, c * 2 ** s) for s in range(3)]
         self.erfs = [RegionalSelect(rng, c * 2 ** s, invert=True)
                      for s in range(3)]
 
         self.enc_hfe = [Hfe(rng, c, heads), Hfe(rng, 2 * c, heads)]
-        self.enc_down = [Conv2d(rng, 4, c, 2 * c, stride=2, padding=1),
-                         Conv2d(rng, 4, 2 * c, 4 * c, stride=2, padding=1)]
+        self.enc_down = [Conv2d(rng, 4, c, 2 * c, stride=2),
+                         Conv2d(rng, 4, 2 * c, 4 * c, stride=2)]
         self.bottleneck = Hfe(rng, 4 * c, heads)
 
         self.hrf = [Hrf(rng, c), Hrf(rng, 2 * c), Hrf(rng, 4 * c)]

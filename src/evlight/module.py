@@ -47,10 +47,6 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
@@ -148,15 +144,14 @@ def dwconv_init(rng: np.random.Generator, k: int, c: int) -> tuple[Parameter, Pa
 
 class Conv2d(Module):
     def __init__(self, rng: np.random.Generator, k: int, cin: int, cout: int,
-                 stride: int = 1, padding: int | None = None,
-                 gain: float = 1.0, zero_init: bool = False):
+                 stride: int = 1, gain: float = 1.0, zero_init: bool = False):
         if zero_init:
             self.weight = Parameter(np.zeros((k, k, cin, cout)))
             self.bias = Parameter(np.zeros(cout))
         else:
             self.weight, self.bias = conv_init(rng, k, cin, cout, gain)
         self.stride = stride
-        self.padding = (k - 1) // 2 if padding is None else padding
+        self.padding = (k - 1) // 2
 
     def forward(self, x: T.Tensor) -> T.Tensor:
         return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)

@@ -15,11 +15,10 @@ NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
 record no graph, so inference keeps no backward buffers alive; the scope is
 per thread, so one thread can infer while another records a graph.
 
-:func:`backward` frees the tape as it goes: once a node's closure has run,
-the node drops its gradient, closure and parents, so activations are freed
-during the pass and only leaves keep ``grad``. Given a ``sink`` dict, it
-sends leaf gradients there instead of into ``grad``, so threads can run
-backward over graphs that share parameters.
+:func:`backward` returns the leaf gradients as a dict and keeps them nowhere
+else, so threads can run backward over graphs that share parameters. It
+frees the tape as it goes: once a node's closure has run, the node drops its
+gradient, closure and parents, so activations are freed during the pass.
 """
 from __future__ import annotations
 
@@ -57,7 +56,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """Immutable-by-convention float64 array node in the autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64, order="C")
@@ -66,7 +65,6 @@ class Tensor:
         _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -102,7 +100,7 @@ class _ThreadState(threading.local):
     """Per-thread engine state; the class attributes are each thread's defaults."""
 
     grad_enabled = True
-    sink: dict | None = None  # where backward sends leaf gradients, if anywhere
+    grads: dict | None = None  # the gradients of the running backward, by node
 
 
 _state = _ThreadState()
@@ -125,7 +123,6 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
@@ -140,28 +137,22 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    sink = _state.sink
-    if sink is not None and t._backward is None:
-        prev = sink.get(t)
-        if prev is None:
-            sink[t] = g.copy()
-        else:
-            prev += g
-    elif t.grad is None:
-        t.grad = g.copy()
+    grads = _state.grads
+    prev = grads.get(t)
+    if prev is None:
+        grads[t] = g.copy()
     else:
-        t.grad += g
+        prev += g
 
 
-def backward(loss: Tensor, sink: dict | None = None) -> None:
-    """Accumulate the gradient of ``loss`` into every leaf that requires it.
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """The gradient of ``loss`` with respect to every leaf it reaches, by leaf.
 
-    A leaf (a node that requires grad and has no backward closure) gets it
-    in ``grad``, or in ``sink[leaf]`` when a sink dict is given, leaving
-    ``grad`` untouched. Each interior node drops its gradient, closure and
-    parents once its closure has run, so the graph is spent afterwards.
-    Traversal order is a deterministic function of graph structure, so two
-    runs over identical graphs produce bit-identical gradients.
+    A leaf is a node that requires grad and has no backward closure. Each
+    interior node drops its gradient, closure and parents once its closure
+    has run, so the graph is spent afterwards. Traversal order is a
+    deterministic function of graph structure, so two runs over identical
+    graphs produce bit-identical gradients.
     """
     if loss.data.size != 1:
         raise ShapeError("backward", "all", "scalar loss", loss.data.shape)
@@ -179,7 +170,8 @@ def backward(loss: Tensor, sink: dict | None = None) -> None:
         stack.append((node, True))
         for p in reversed(node._parents):
             stack.append((p, False))
-    prev, _state.sink = _state.sink, sink
+    grads: dict[Tensor, np.ndarray] = {}
+    _state.grads = grads
     try:
         _accum(loss, np.ones_like(loss.data))
         # pop, so a node's data is freed once its consumers are done with it
@@ -187,11 +179,13 @@ def backward(loss: Tensor, sink: dict | None = None) -> None:
             node = topo.pop()
             if node._backward is None:
                 continue
-            if node.grad is not None:
-                node._backward(node.grad)
-            node.grad, node._backward, node._parents = None, None, ()
+            g = grads.pop(node, None)
+            if g is not None:
+                node._backward(g)
+            node._backward, node._parents = None, ()
     finally:
-        _state.sink = prev
+        _state.grads = None
+    return grads
 
 
 # ---------------------------------------------------------------------------

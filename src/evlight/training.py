@@ -90,56 +90,44 @@ def total_loss(en: Tensor, gt, lam: float,
 # optimizer
 # ---------------------------------------------------------------------------
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: dict, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place Adam update with bias correction; state holds m/v/t."""
-    if "t" not in state:
-        state["t"] = 0
-        state["m"] = [np.zeros_like(p) for p in params]
-        state["v"] = [np.zeros_like(p) for p in params]
-    state["t"] += 1
-    t = state["t"]
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
+    """Scale the gradients in place so their joint L2 norm is at most max_norm;
+    returns the norm before scaling."""
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+    for g in grads:
+        total += float(np.sum(g * g))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= scale
     return norm
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, params: list[Parameter], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """Adam with bias correction (Kingma & Ba, 2015) over a fixed parameter list."""
+
+    def __init__(self, params: list[Parameter], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.state: dict = {}
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
 
-    def step(self) -> None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for p in self.params]
-        adam_step([p.data for p in self.params], grads, self.state,
-                  self.lr, self.beta1, self.beta2, self.eps)
+    def step(self, grads: list[np.ndarray]) -> None:
+        """Update each parameter in place from its gradient (same order)."""
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +166,12 @@ class TrainConfig:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.crop % 4:
             raise ValueError("crop must divide by 4")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        for key in ("lr", "grad_clip"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be >= 0 and finite, got {self.lam}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be > 0 and finite, got {self.lr}")
+        if not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
         if self.heads < 1 or self.base_channels < 1 or self.base_channels % self.heads:
@@ -211,6 +200,9 @@ def parse_manifest(path: str) -> list[SamplePair]:
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
+# per TrainConfig field type: the word an error names it by, and its parser
+_PARSE = {"bool": ("boolean", lambda v: _BOOL[v.lower()]),
+          "int": ("integer", int), "float": ("number", float)}
 
 
 def parse_config(path: str, base: TrainConfig | None = None) -> TrainConfig:
@@ -230,15 +222,12 @@ def parse_config(path: str, base: TrainConfig | None = None) -> TrainConfig:
                 key = "lam"
             if key not in types:
                 raise ValueError(f"{path}: line {ln}: unknown key {key!r}")
-            t = types[key]
-            if t == "bool":
-                if val.lower() not in _BOOL:
-                    raise ValueError(f"{path}: line {ln}: bad boolean {val!r}")
-                updates[key] = _BOOL[val.lower()]
-            elif t == "int":
-                updates[key] = int(val)
-            else:
-                updates[key] = float(val)
+            what, parse = _PARSE[types[key]]
+            try:
+                updates[key] = parse(val)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}: line {ln}: bad {what} {val!r} "
+                                 f"for {key}") from None
     return replace(cfg, **updates)
 
 
@@ -348,8 +337,8 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     clipping, whether it was clipped, and the step's wall time.
 
     The samples of a batch run side by side, one per core that BLAS leaves
-    free, each with its own graph and gradient sink; the sinks are summed in
-    sample order, so the outputs do not depend on the number of cores.
+    free, each with its own graph; their gradients are summed in sample
+    order, so the outputs do not depend on the number of cores.
     """
     pairs = parse_manifest(manifest_path)
     if not pairs:
@@ -367,13 +356,34 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     workers = _sample_threads(config.batch)
 
     def sample_grads(sample):
-        """One sample's gradient sink and (loss, charbonnier, perceptual)."""
+        """One sample's leaf gradients and (loss, charbonnier, perceptual)."""
         low_a, grid_a, gt_a = sample
         i_en, _, _ = model.forward(low_a, grid_a)
         loss, ch, pe = total_loss(i_en, gt_a, config.lam, phi)
-        sink: dict = {}
-        T.backward(loss, sink)
-        return sink, (loss.item(), ch, pe)
+        return T.backward(loss), (loss.item(), ch, pe)
+
+    def update(samples):
+        """One optimizer step on the samples' mean loss; returns the gradient
+        norm before clipping and each sample's (loss, charbonnier, perceptual).
+        The gradients are locals, so they are freed before the next forward."""
+        summed: dict = {}
+        vals = []
+        # at most `workers` graphs alive at once; gradients add in sample order
+        for i in range(0, len(samples), workers):
+            for grads, v in _in_threads(sample_grads, samples[i:i + workers]):
+                vals.append(v)
+                for p, g in grads.items():
+                    if p in summed:
+                        summed[p] += g
+                    else:
+                        summed[p] = g
+        grads = [summed[p] if p in summed else np.zeros_like(p.data) for p in params]
+        inv = 1.0 / len(samples)
+        for g in grads:
+            g *= inv
+        norm = clip_grad_norm(grads, config.grad_clip)
+        opt.step(grads)
+        return norm, vals
 
     steps_per_epoch = max(1, math.ceil(len(data) / config.batch))
     total_steps = config.steps if config.steps > 0 else \
@@ -399,24 +409,7 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
                 crop = None if low.shape[:2] == (config.crop,) * 2 else config.crop
                 samples.append(augment(low, grid, gt, aug_rng, crop,
                                        hflip=config.hflip, rotate=config.rotate))
-            model.zero_grad()
-            batch_vals = []
-            # at most `workers` graphs alive at once; sinks fold in sample order
-            for i in range(0, config.batch, workers):
-                for sink, vals in _in_threads(sample_grads, samples[i:i + workers]):
-                    batch_vals.append(vals)
-                    for p, g in sink.items():
-                        if p.grad is None:
-                            p.grad = g
-                        else:
-                            p.grad += g
-            if config.batch > 1:
-                inv = 1.0 / config.batch
-                for p in params:
-                    if p.grad is not None:
-                        p.grad *= inv
-            norm = clip_grad_norm(params, config.grad_clip)
-            opt.step()
+            norm, batch_vals = update(samples)
             step += 1
             lv = float(np.mean([v[0] for v in batch_vals]))
             cv = float(np.mean([v[1] for v in batch_vals]))

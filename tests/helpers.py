@@ -16,16 +16,13 @@ def fd_gradcheck(build, leaves, h: float = 1e-5, tol: float = 1e-5,
     the reported error is max over leaves of
     max|analytic - numeric| / max(max|analytic|, max|numeric|, floor).
     """
-    for leaf in leaves:
-        leaf.grad = None
-    loss = build(*leaves)
-    T.backward(loss)
+    grads = T.backward(build(*leaves))
     worst = 0.0
     for leaf in leaves:
         if not leaf.requires_grad:
             continue
-        assert leaf.grad is not None, "leaf got no gradient"
-        analytic = leaf.grad.copy()
+        assert leaf in grads, "leaf got no gradient"
+        analytic = grads[leaf]
         numeric = np.zeros_like(leaf.data)
         flat = leaf.data.reshape(-1)
         nflat = numeric.reshape(-1)

@@ -59,11 +59,9 @@ class TestEcaResidual:
         leaves = [x] + blk.parameters()
         runs = []
         for fwd in (blk.forward, reference):
-            for t in leaves:
-                t.grad = None
             y = fwd(x)
-            T.backward(T.mean(T.mul(y, y)))
-            runs.append((y.data, [t.grad for t in leaves]))
+            grads = T.backward(T.mean(T.mul(y, y)))
+            runs.append((y.data, [grads[t] for t in leaves]))
         (y, grads), (y_ref, grads_ref) = runs
         assert np.array_equal(y, y_ref)
         for g, g_ref in zip(grads, grads_ref):

@@ -305,6 +305,9 @@ class TestTrainEval:
         ([], "grad_clip = -1\n", "grad_clip must be > 0"),
         (["--tau", "1.5"], "", "tau must lie in [0, 1]"),
         ([], "heads = 3\n", "base_channels 4 must be a positive multiple of heads 3"),
+        (["--lr", "inf"], "", "lr must be > 0 and finite"),
+        (["--lambda", "nan"], "", "lambda must be >= 0 and finite"),
+        (["--lambda", "inf"], "", "lambda must be >= 0 and finite"),
     ])
     def test_setting_the_loop_cannot_honour_exits_one_before_writing(
             self, tmp_path, capsys, args, config_line, message):

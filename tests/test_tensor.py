@@ -40,13 +40,11 @@ class TestTensorBasics:
 class TestBackwardContract:
     def test_sum_grad_ones(self):
         x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
-        T.backward(sum_all(x))
-        assert np.array_equal(x.grad, np.ones((3, 4)))
+        assert np.array_equal(T.backward(sum_all(x))[x], np.ones((3, 4)))
 
     def test_square_grad_2x(self):
         x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
-        T.backward(sum_all(T.mul(x, x)))
-        assert np.allclose(x.grad, 2 * x.data)
+        assert np.allclose(T.backward(sum_all(T.mul(x, x)))[x], 2 * x.data)
 
     def test_nonscalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -60,8 +58,8 @@ class TestBackwardContract:
             b = Tensor(np.zeros(4), requires_grad=True)
             y = T.conv2d(x, w, b, 1, 1)
             y = T.gelu(y)
-            T.backward(T.mean(T.mul(y, y)))
-            return x.grad.copy(), w.grad.copy()
+            grads = T.backward(T.mean(T.mul(y, y)))
+            return grads[x], grads[w]
 
         rng0 = np.random.default_rng(7)
         g1 = run()
@@ -71,46 +69,26 @@ class TestBackwardContract:
 
     def test_grad_accumulates_on_reuse(self):
         x = Tensor(np.full(4, 3.0), requires_grad=True)
-        T.backward(sum_all(T.add(x, x)))
-        assert np.array_equal(x.grad, np.full(4, 2.0))
-
-    @staticmethod
-    def _graph(rng):
-        """(loss, interior nodes, parameters) of a small conv graph."""
-        x = Tensor(rng.standard_normal((6, 6, 2)))
-        w = Parameter(rng.standard_normal((3, 3, 2, 3)) * 0.3)
-        b = Parameter(np.zeros(3))
-        y = T.conv2d(x, w, b, 1, 1)
-        z = T.gelu(y)
-        loss = T.mean(T.mul(z, z))
-        return loss, [y, z, loss], [w, b]
+        assert np.array_equal(T.backward(sum_all(T.add(x, x)))[x], np.full(4, 2.0))
 
     def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self, rng):
-        loss, interior, params = self._graph(rng)
-        T.backward(loss)
-        for t in interior:
-            assert t.grad is None and t._parents == () and t._backward is None
-        assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
+        x = Tensor(rng.standard_normal((6, 6, 2)))  # a constant: no gradient
+        s = Tensor(rng.standard_normal((6, 6, 1)), requires_grad=True)
+        w = Parameter(rng.standard_normal((3, 3, 2, 3)) * 0.3)
+        b = Parameter(np.zeros(3))
+        y = T.conv2d(T.mul(x, s), w, b, 1, 1)
+        z = T.gelu(y)
+        loss = T.mean(T.mul(z, z))
+        grads = T.backward(loss)
+        # exactly the leaves that require grad, each with its own shape
+        assert len(grads) == 3 and all(t in grads for t in (s, w, b))
+        assert all(g.shape == t.shape for t, g in grads.items())
+        for t in (y, z, loss):
+            assert t._parents == () and t._backward is None
 
-    def test_sink_receives_leaf_grads_and_grad_stays_untouched(self, rng):
-        loss, _, (w, b) = self._graph(np.random.default_rng(3))
-        T.backward(loss)
-        want = {"w": w.grad, "b": b.grad}
-        loss, _, (w, b) = self._graph(np.random.default_rng(3))
-        b.grad = np.full(3, 7.0)
-        sink = {}
-        T.backward(loss, sink)
-        assert set(sink) == {w, b}
-        assert w.grad is None and np.array_equal(b.grad, np.full(3, 7.0))
-        assert np.array_equal(sink[w], want["w"]) and np.array_equal(sink[b], want["b"])
-        # the sink lasts only for that call
-        loss, _, (w, _) = self._graph(rng)
-        T.backward(loss)
-        assert w.grad is not None
-
-    def test_threads_sharing_parameters_fill_only_their_own_sinks(self):
-        # more threads than cores, switching often: a sink or a no_grad flag
-        # leaking across threads would change a gradient or drop a graph
+    def test_threads_sharing_parameters_get_their_own_gradients(self):
+        # more threads than cores, switching often: gradients or a no_grad
+        # flag leaking across threads would change a gradient or drop a graph
         rng = np.random.default_rng(5)
         w = Parameter(rng.standard_normal((3, 3, 2, 3)) * 0.3)
         b = Parameter(np.zeros(3))
@@ -119,20 +97,14 @@ class TestBackwardContract:
         def loss_of(x):
             return T.mean(T.gelu(T.conv2d(x, w, b, 1, 1)))
 
-        want = []
-        for x in xs:
-            sink = {}
-            T.backward(loss_of(x), sink)
-            want.append(sink)
+        want = [T.backward(loss_of(x)) for x in xs]
         got = [None] * len(xs)
 
         def work(i):
             for _ in range(5):
                 with T.no_grad():
                     assert not loss_of(xs[i]).requires_grad
-                sink = {}
-                T.backward(loss_of(xs[i]), sink)
-                got[i] = sink
+                got[i] = T.backward(loss_of(xs[i]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -145,7 +117,6 @@ class TestBackwardContract:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert w.grad is None and b.grad is None
         for g, ref in zip(got, want):
             assert g is not None and set(g) == {w, b}
             assert all(np.array_equal(g[p], ref[p]) for p in (w, b))
@@ -190,9 +161,9 @@ class TestElementwiseOps:
         m = rand_tensor(rng, (4, 5, 1))
         y = T.mul(x, m)
         assert np.array_equal(y.data, x.data * m.data[:, :, 0][:, :, None])
-        T.backward(sum_all(y))
-        assert m.grad.shape == (4, 5, 1)
-        assert np.array_equal(m.grad, x.data.sum(axis=2, keepdims=True))
+        gm = T.backward(sum_all(y))[m]
+        assert gm.shape == (4, 5, 1)
+        assert np.array_equal(gm, x.data.sum(axis=2, keepdims=True))
 
     def test_mul_channel(self, rng):
         x = rand_tensor(rng, (4, 4, 6))
@@ -367,9 +338,9 @@ class TestConv2d:
         b = rand_tensor(rng, (cout,))
         y = T.conv2d(x, w, b, 1, padding)
         gy = rng.standard_normal(y.shape)
-        T.backward(sum_all(T.mul(y, Tensor(gy))))
+        grads = T.backward(sum_all(T.mul(y, Tensor(gy))))
         ref = _im2col_conv_reference(x.data, w.data, b.data, padding, gy)
-        for got, want in zip((y.data, x.grad, w.grad, b.grad), ref):
+        for got, want in zip((y.data, grads[x], grads[w], grads[b]), ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -398,9 +369,9 @@ class TestConv2d:
         hout = y.shape[0]
         assert rows == [band] * (hout // band) + [hout % band] * (hout % band > 0)
         gy = rng.standard_normal(y.shape)
-        T.backward(sum_all(T.mul(y, Tensor(gy))))
+        grads = T.backward(sum_all(T.mul(y, Tensor(gy))))
         ref = _im2col_conv_reference(x.data, w.data, b.data, padding, gy)
-        for got, want in zip((y.data, x.grad, w.grad, b.grad), ref):
+        for got, want in zip((y.data, grads[x], grads[w], grads[b]), ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -485,11 +456,9 @@ class TestDeconv2d:
         b = rand_tensor(rng, (4,))
         runs = []
         for op in (T.deconv2d, helpers.deconv2d):
-            for t in (x, w, b):
-                t.grad = None
             y = op(x, w, b)
-            T.backward(T.mean(T.mul(y, y)))
-            runs.append((y.data, x.grad, w.grad, b.grad))
+            grads = T.backward(T.mean(T.mul(y, y)))
+            runs.append((y.data, grads[x], grads[w], grads[b]))
         (y, *grads), (y_ref, *grads_ref) = runs
         assert np.array_equal(y, y_ref)
         for g, g_ref in zip(grads, grads_ref):

@@ -16,9 +16,9 @@ from evlight.fixtures import fixtures
 from evlight.image import write_image
 from evlight.tensor import Tensor
 from evlight.training import (CHARBONNIER_EPS, Adam, RandomConvFeatures,
-                              TrainConfig, adam_step, augment, charbonnier,
-                              clip_grad_norm, parse_config, parse_manifest,
-                              perceptual, total_loss, train)
+                              TrainConfig, augment, charbonnier, clip_grad_norm,
+                              parse_config, parse_manifest, perceptual,
+                              total_loss, train)
 
 from helpers import fd_gradcheck
 
@@ -65,8 +65,8 @@ class TestPerceptual:
         phi = _IdentityFeatures()
         en = Tensor(rng.uniform(0, 1, (5, 5, 3)), requires_grad=True)
         gt = rng.uniform(0, 1, (5, 5, 3))
-        T.backward(perceptual(en, gt, phi))
-        assert np.allclose(en.grad, np.sign(en.data - gt) / en.data.size)
+        g = T.backward(perceptual(en, gt, phi))[en]
+        assert np.allclose(g, np.sign(en.data - gt) / en.data.size)
 
     def test_discriminates_different_images(self, rng):
         phi = RandomConvFeatures()
@@ -105,59 +105,48 @@ class TestTotalLoss:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self, rng):
-        p = rng.standard_normal(20)
+        p = T.Parameter(rng.standard_normal(20))
         g = rng.standard_normal(20)
         g[np.abs(g) < 0.1] = 0.5  # keep |g| >> eps so the step saturates
-        before = p.copy()
-        adam_step([p], [g], {}, lr=1e-3)
-        assert np.allclose(p, before - 1e-3 * np.sign(g), atol=1e-8)
+        before = p.data.copy()
+        Adam([p], lr=1e-3).step([g])
+        assert np.allclose(p.data, before - 1e-3 * np.sign(g), atol=1e-8)
 
     def test_zero_gradient_leaves_parameter_fixed(self):
-        p = np.array([1.5, -2.0])
-        adam_step([p], [np.zeros(2)], {}, lr=1e-2)
-        assert np.array_equal(p, np.array([1.5, -2.0]))
+        p = T.Parameter(np.array([1.5, -2.0]))
+        Adam([p], lr=1e-2).step([np.zeros(2)])
+        assert np.array_equal(p.data, np.array([1.5, -2.0]))
 
     def test_ten_steps_match_scalar_reference(self):
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-        p = np.array([0.7])
-        state = {}
+        p = T.Parameter(np.array([0.7]))
+        opt = Adam([p], lr)
         ref_p, m, v = 0.7, 0.0, 0.0
         for t in range(1, 11):
             g = math.sin(t * 1.7) + 0.3
-            adam_step([p], [np.array([g])], state, lr, b1, b2, eps)
+            opt.step([np.array([g])])
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             mh = m / (1 - b1 ** t)
             vh = v / (1 - b2 ** t)
             ref_p -= lr * mh / (math.sqrt(vh) + eps)
-            assert abs(p[0] - ref_p) < 1e-12
-
-    def test_wrapper_skips_missing_gradients(self, rng):
-        a = T.Parameter(rng.standard_normal(3))
-        b = T.Parameter(rng.standard_normal(3))
-        a.grad = np.ones(3)
-        opt = Adam([a, b], lr=1e-3)
-        before = b.data.copy()
-        opt.step()
-        assert np.array_equal(b.data, before)
-        assert not np.array_equal(a.data, a.data * 0)
+            assert abs(p.data[0] - ref_p) < 1e-12
 
 
 class TestClipGradNorm:
     def test_small_norm_untouched(self):
-        p = T.Parameter(np.zeros(4))
-        p.grad = np.array([0.3, 0.0, -0.4, 0.0])
-        norm = clip_grad_norm([p], 10.0)
+        g = np.array([0.3, 0.0, -0.4, 0.0])
+        norm = clip_grad_norm([g], 10.0)
         assert abs(norm - 0.5) < 1e-15
-        assert np.array_equal(p.grad, np.array([0.3, 0.0, -0.4, 0.0]))
+        assert np.array_equal(g, np.array([0.3, 0.0, -0.4, 0.0]))
 
     def test_large_norm_rescaled(self):
-        p = T.Parameter(np.zeros(2))
-        p.grad = np.array([30.0, 40.0])
-        norm = clip_grad_norm([p], 10.0)
+        # the norm is joint over all arrays: sqrt(30^2 + 40^2) = 50
+        grads = [np.array([30.0]), np.array([40.0])]
+        norm = clip_grad_norm(grads, 10.0)
         assert abs(norm - 50.0) < 1e-12
-        assert np.allclose(p.grad, np.array([6.0, 8.0]))
-        assert abs(float(np.linalg.norm(p.grad)) - 10.0) < 1e-12
+        assert np.allclose(np.concatenate(grads), np.array([6.0, 8.0]))
+        assert abs(float(np.linalg.norm(np.concatenate(grads))) - 10.0) < 1e-12
 
 
 class TestAugment:
@@ -256,6 +245,16 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="boolean"):
             parse_config(str(cfg_file))
 
+    @pytest.mark.parametrize("line,message", [
+        ("steps = 1.5", "line 2: bad integer '1.5' for steps"),
+        ("lr = fast", "line 2: bad number 'fast' for lr"),
+    ])
+    def test_bad_number_names_file_and_line(self, tmp_path, line, message):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"crop = 32\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg_file}: {message}")):
+            parse_config(str(cfg_file))
+
     def test_config_validation_still_applies(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text("crop = 30\n")
@@ -274,6 +273,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("lines,message", [
         ("lr = -1\n", "lr must be > 0"),
         ("lr = 0\n", "lr must be > 0"),
+        ("lr = inf\n", "lr must be > 0 and finite"),
+        ("lr = nan\n", "lr must be > 0 and finite"),
+        ("lambda = nan\n", "lambda must be >= 0 and finite"),
+        ("lambda = inf\n", "lambda must be >= 0 and finite"),
         ("grad_clip = -1\n", "grad_clip must be > 0"),
         ("tau = 1.5\n", "tau must lie in"),
         ("tau = -0.1\n", "tau must lie in"),
@@ -356,6 +359,54 @@ class TestTrainLoop:
         monkeypatch.setattr(training.EvLightModel, "forward", spy)
         train(man, _tiny_config(steps=2, batch=2), str(tmp_path / "out"))
         assert alive_at_forward == [0, 0, 0, 0]
+
+    def test_step_gradients_freed_before_next_step(self, tmp_path, monkeypatch):
+        # one core: the two samples of a step run one after the other
+        man = fixtures(str(tmp_path / "data"), seed=3, count=2, size=32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        backward, forward = T.backward, training.EvLightModel.forward
+        arrays: list[weakref.ref] = []
+        alive_at_forward: list[int] = []
+
+        def backward_spy(loss):
+            grads = backward(loss)
+            arrays.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        def forward_spy(self, *args, **kwargs):
+            alive_at_forward.append(sum(r() is not None for r in arrays))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(T, "backward", backward_spy)
+        monkeypatch.setattr(training.EvLightModel, "forward", forward_spy)
+        train(man, _tiny_config(steps=3, batch=2), str(tmp_path / "out"))
+        # a step's second sample runs while its first sample's sum is alive;
+        # no gradient of a step is alive at the next step's first forward
+        assert len(alive_at_forward) == 6
+        assert alive_at_forward[0::2] == [0, 0, 0]
+        assert all(n > 0 for n in alive_at_forward[1::2])
+
+    def test_parameter_without_gradient_stays_fixed(self, tmp_path, monkeypatch):
+        # a parameter missing from every returned dict is stepped with zeros
+        man = fixtures(str(tmp_path / "data"), seed=3, count=1, size=32)
+        backward, init = T.backward, training.Adam.__init__
+        params, before = [], []
+
+        def adam_spy(self, ps, lr):
+            params.extend(ps)
+            before.extend(p.data.copy() for p in ps)
+            init(self, ps, lr)
+
+        def backward_spy(loss):
+            grads = backward(loss)
+            del grads[params[0]]
+            return grads
+
+        monkeypatch.setattr(training.Adam, "__init__", adam_spy)
+        monkeypatch.setattr(T, "backward", backward_spy)
+        train(man, _tiny_config(), str(tmp_path / "out"))
+        assert np.array_equal(params[0].data, before[0])
+        assert not np.array_equal(params[1].data, before[1])
 
     @staticmethod
     def _wide_manifest(tmp_path, rng):
@@ -470,11 +521,10 @@ class TestTrainLoop:
         man = fixtures(str(tmp_path / "data"), seed=3, count=1, size=32)
         norms = []
 
-        def spy(params, max_norm):
+        def spy(grads, max_norm):
             # the norm recomputed independently, from the unclipped gradients
-            norms.append(math.sqrt(sum(float(np.sum(p.grad ** 2))
-                                       for p in params if p.grad is not None)))
-            return clip_grad_norm(params, max_norm)
+            norms.append(math.sqrt(sum(float(np.sum(g ** 2)) for g in grads)))
+            return clip_grad_norm(grads, max_norm)
 
         monkeypatch.setattr(training, "clip_grad_norm", spy)
         lines = []
