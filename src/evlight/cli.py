@@ -20,7 +20,8 @@ import numpy as np
 from . import alignment
 from .fixtures import fixtures as make_fixtures
 from . import tensor as T
-from .events import read_events, simulate_events, voxelize, write_events
+from .events import (_MAGIC as EVST_MAGIC, read_events, simulate_events,
+                     voxelize, write_events)
 from .image import as_rgb, psnr, psnr_star, read_image, ssim, write_image
 from .lightup import LightUpEstimator, light_up, snr_map
 from .model import enhance_file, load_model, load_sample, predict
@@ -73,6 +74,11 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_voxelize(args) -> int:
+    with open(args.events, "rb") as f:
+        if f.read(len(EVST_MAGIC)) != EVST_MAGIC:
+            raise ValueError(f"{args.events}: a CSV event file carries no sensor "
+                             "extent, so the grid size is unknown; voxelize "
+                             "needs an .evst file, which does")
     stream = read_events(args.events)
     grid = voxelize(stream, 32 if args.bins is None else args.bins,
                     args.t0, args.t1)

@@ -13,8 +13,21 @@ Layout (scale s has channels C*2^s at extent H/2^s x W/2^s):
   decoder scale a holistic-regional fusion followed by HFE + deconv2x2,
   ending in a full-resolution fusion;
 * a zero-initialized head conv3x3 predicts a residual on top of I_lu.
+
+The regional selectors and the holistic trunk meet only in the decoder's
+fusions, so they run side by side when the calling thread has two cores
+(``tensor.cores()``): a worker thread runs the selection pyramid and the
+selectors, deepest scale first, and hands each scale's pair over as soon
+as it is made, while the calling thread runs the stems' fusion, encoder,
+bottleneck and decoder; the decoder waits at a fusion only for a pair not
+made yet. Threads change no arithmetic, so the outputs are bit-identical
+either way.
 """
 from __future__ import annotations
+
+import functools
+import queue
+from typing import Iterator
 
 import numpy as np
 
@@ -71,6 +84,16 @@ class EvLightModel(Module):
     def forward(self, img: np.ndarray, grid: VoxelGrid,
                 snr_override: SnrMap | None = None
                 ) -> tuple[T.Tensor, T.Tensor, SnrMap]:
+        """(I_en, I_lu, SNR map) for an [H,W,3] image and its voxel grid.
+
+        With two cores (``T.cores() >= 2``), one worker thread makes the
+        regional (IRFS, ERFS) pairs, deepest scale first, and this thread
+        runs the holistic trunk, waiting at each decoder fusion only while
+        that scale's pair is not ready; the worker is always joined and its
+        failure re-raised here. With one core, this thread makes each pair
+        when the decoder asks for it. Each activation is dropped after its
+        last use, so under ``no_grad`` it is freed there.
+        """
         img = np.asarray(img, dtype=np.float64)
         if img.ndim != 3 or img.shape[2] != 3:
             raise ValueError(f"expected [H,W,3] image, got {img.shape}")
@@ -90,35 +113,68 @@ class EvLightModel(Module):
             snr_map(i_lu.data, self.snr_kernel, self.tau)
         if smap.shape != (h, w):
             raise ValueError(f"SNR map {smap.shape} does not match image {h}x{w}")
-        pyr = snr_pyramid(smap, 3)
+        masks = [level.binary for level in snr_pyramid(smap, 3)]
 
         f_img = self.img_stem.forward(i_lu)
         f_ev = self.ev_stem.forward(T.Tensor(self.normalize_grid(grid)))
+        regional = self._regional(f_img, f_ev, masks)
+        if T.cores() >= 2:
+            made = queue.SimpleQueue()
+            worker, take = [(regional, made)], functools.partial(_take, made)
+        else:
+            worker, take = [], regional.__next__
+        with T.beside(_feed, worker):
+            # holistic trunk; events enter only where the image is untrusted
+            ev_gated = T.mul(f_ev, T.Tensor(1.0 - masks[0][:, :, None]))
+            x = self.fuse.forward(T.concat([f_img, ev_gated], axis=2))
+            del f_img, f_ev, ev_gated, regional
+            x = self.enc_hfe[0].forward(x)
+            x = self.enc_hfe[1].forward(self.enc_down[0].forward(x))
+            x = self.bottleneck.forward(self.enc_down[1].forward(x))
+            # decoder: fuse each scale's regional pair, deepest first
+            for s in (2, 1, 0):
+                x = self.hrf[s].forward(*take(), x)
+                if s:
+                    x = self.up[2 - s].forward(self.dec_hfe[2 - s].forward(x))
 
-        # regional branches per scale
-        sel_img = [f_img]
-        sel_ev = [f_ev]
+        i_en = T.add(self.head.forward(x), i_lu)
+        return i_en, i_lu, smap
+
+    def _regional(self, f_img: T.Tensor, f_ev: T.Tensor, masks: list[np.ndarray]
+                  ) -> Iterator[tuple[T.Tensor, T.Tensor]]:
+        """Yield each scale's (IRFS, ERFS) pair, deepest scale first.
+
+        Takes the stems' features as arguments, and drops each scale's
+        selection features once its pair is made.
+        """
+        sel_img, sel_ev = [f_img], [f_ev]
+        del f_img, f_ev
         for s in range(2):
             sel_img.append(self.sel_img_down[s].forward(sel_img[-1]))
             sel_ev.append(self.sel_ev_down[s].forward(sel_ev[-1]))
-        reg_img = [self.irfs[s].forward(sel_img[s], pyr[s].binary) for s in range(3)]
-        reg_ev = [self.erfs[s].forward(sel_ev[s], pyr[s].binary) for s in range(3)]
+        for s in (2, 1, 0):
+            yield (self.irfs[s].forward(sel_img.pop(), masks[s]),
+                   self.erfs[s].forward(sel_ev.pop(), masks[s]))
 
-        # holistic trunk; events enter only where the image is untrusted
-        ev_gated = T.mul(f_ev, T.Tensor(1.0 - pyr[0].binary[:, :, None]))
-        x = self.fuse.forward(T.concat([f_img, ev_gated], axis=2))
-        e0 = self.enc_hfe[0].forward(x)
-        e1 = self.enc_hfe[1].forward(self.enc_down[0].forward(e0))
-        b = self.bottleneck.forward(self.enc_down[1].forward(e1))
 
-        h2 = self.hrf[2].forward(reg_img[2], reg_ev[2], b)
-        u1 = self.up[0].forward(self.dec_hfe[0].forward(h2))
-        h1 = self.hrf[1].forward(reg_img[1], reg_ev[1], u1)
-        u0 = self.up[1].forward(self.dec_hfe[1].forward(h1))
-        h0 = self.hrf[0].forward(reg_img[0], reg_ev[0], u0)
+def _feed(job: tuple[Iterator, queue.SimpleQueue]) -> None:
+    """Put each item of ``regional`` on ``made`` as it is made; a failure
+    goes there too, so the thread that takes the items stops waiting."""
+    regional, made = job
+    try:
+        for item in regional:
+            made.put(item)
+    except BaseException as exc:
+        made.put(exc)
+        raise
 
-        i_en = T.add(self.head.forward(h0), i_lu)
-        return i_en, i_lu, smap
+
+def _take(made: queue.SimpleQueue):
+    """The next item ``_feed`` put on ``made``; raises the failure it put there."""
+    item = made.get()
+    if isinstance(item, BaseException):
+        raise item
+    return item
 
 
 def infer_architecture(state: dict[str, np.ndarray]) -> tuple[int, int, int]:

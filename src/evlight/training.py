@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -278,54 +277,6 @@ def _load_pairs(pairs: list[SamplePair], bins: int, crop: int):
     return data
 
 
-# the variables by which a user sets the BLAS thread count, in precedence order
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _sample_threads(batch: int) -> int:
-    """How many samples of a batch run at once: one per core that BLAS leaves
-    free. The BLAS thread count is the user's (its usual variables), else the
-    BLAS default of every core; it is read, never changed. On 2 cores, two
-    samples side by side over 2-thread BLAS ran a crop-64 step 1.3x slower
-    than one sample at a time."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cores = os.cpu_count() or 1
-    blas = cores
-    for var in _BLAS_VARS:
-        val = os.environ.get(var, "").strip()
-        if val.isdigit() and int(val) > 0:
-            blas = int(val)
-            break
-    return max(1, min(batch, cores // blas))
-
-
-def _in_threads(fn, items: list) -> list:
-    """``[fn(item) for item in items]``, each item after the first on its own
-    thread (the first runs in the caller's); numpy releases the GIL in its
-    GEMMs, so the items run side by side. A failure is raised in item order."""
-    out: list = [None] * len(items)
-    errors: list = [None] * len(items)
-
-    def run(i):
-        try:
-            out[i] = fn(items[i])
-        except Exception as exc:  # re-raised below, in the calling thread
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(items))]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return out
-
-
 def train(manifest_path: str, config: TrainConfig, out_dir: str,
           log=None) -> tuple[str, str]:
     """Run the loop; returns (final checkpoint path, loss CSV path).
@@ -337,8 +288,10 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     clipping, whether it was clipped, and the step's wall time.
 
     The samples of a batch run side by side, one per core that BLAS leaves
-    free, each with its own graph; their gradients are summed in sample
-    order, so the outputs do not depend on the number of cores.
+    free (``T.cores()``), each with its own graph; a sample that has two
+    cores to itself also runs its forward pass on both (``EvLightModel.
+    forward``). Their gradients are summed in sample order, so the outputs
+    do not depend on the number of cores.
     """
     pairs = parse_manifest(manifest_path)
     if not pairs:
@@ -353,7 +306,8 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     opt = Adam(params, config.lr)
     phi = RandomConvFeatures(seed=config.seed + 1) if config.lam > 0 else None
     aug_rng = np.random.default_rng(config.seed + 2)
-    workers = _sample_threads(config.batch)
+    # at most `workers` graphs alive at once
+    workers = min(config.batch, T.cores())
 
     def sample_grads(sample):
         """One sample's leaf gradients and (loss, charbonnier, perceptual)."""
@@ -368,9 +322,12 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
         The gradients are locals, so they are freed before the next forward."""
         summed: dict = {}
         vals = []
-        # at most `workers` graphs alive at once; gradients add in sample order
         for i in range(0, len(samples), workers):
-            for grads, v in _in_threads(sample_grads, samples[i:i + workers]):
+            first, *rest = samples[i:i + workers]
+            with T.beside(sample_grads, rest) as others:
+                mine = sample_grads(first)
+            # gradients add in sample order
+            for grads, v in [mine, *others]:
                 vals.append(v)
                 for p, g in grads.items():
                     if p in summed:

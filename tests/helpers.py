@@ -2,9 +2,20 @@
 the hand-written convolution ops the engine now composes from others."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from evlight import tensor as T
+
+
+def use_cores(monkeypatch, n: int) -> None:
+    """n usable cores and one BLAS thread, so the calling thread's share of
+    the cores (``T.cores()``) is n whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    for var in T._BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 def fd_gradcheck(build, leaves, h: float = 1e-5, tol: float = 1e-5,

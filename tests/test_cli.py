@@ -39,6 +39,19 @@ class TestVoxelize:
         assert "resolved config:" in captured
         assert f"mass={grid.total_mass():.6f}" in captured
 
+    def test_csv_rejected_for_want_of_a_sensor_extent(self, tmp_path, capsys):
+        # events of a 32x32 scene whose largest x and y are 25 and 22: a size
+        # taken from them would be a (4, 23, 26) grid
+        ev = tmp_path / "ev.csv"
+        ev.write_text("t,x,y,p\n0,3,22,1\n5,25,4,-1\n9,0,0,1\n")
+        out = tmp_path / "grid.npy"
+        rc = main(["voxelize", "--events", str(ev), "--out", str(out),
+                   "--bins", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "CSV event file carries no sensor extent" in err and ".evst" in err
+        assert not out.exists()
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         rc = main(["voxelize", "--events", str(tmp_path / "nope.evst"),
                    "--out", str(tmp_path / "g.npy")])

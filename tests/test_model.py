@@ -1,14 +1,21 @@
 """End-to-end network contracts: shapes, identities, invariances, files."""
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import evlight
 from evlight import tensor as T
+from evlight.blocks import RegionalSelect
 from evlight.events import EventStream, VoxelGrid, voxelize, write_events
 from evlight.image import pad_reflect, read_image, write_image
 from evlight.lightup import SnrMap, light_up
-from evlight.model import EvLightModel, enhance_file, infer_architecture
+from evlight.model import EvLightModel, enhance_file, infer_architecture, predict
 from evlight.module import CheckpointError, save_checkpoint
+
+from helpers import use_cores
 
 
 def _small_model(seed=0, bins=4):
@@ -77,7 +84,11 @@ class TestForward:
         out2 = model.forward(img, grid)[0].data
         assert np.array_equal(out1, out2)
 
-    def test_no_grad_forward_is_bit_identical_and_tape_free(self, rng, monkeypatch):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_no_grad_forward_is_bit_identical_and_tape_free(self, rng, monkeypatch,
+                                                            cores):
+        # on two cores the spy also sees the tensors the worker thread makes
+        use_cores(monkeypatch, cores)
         model = _small_model()
         for p in model.parameters():
             p.data = rng.standard_normal(p.data.shape) * 0.1
@@ -99,6 +110,93 @@ class TestForward:
         for t in made:
             assert not t.requires_grad
             assert t._parents == () and t._backward is None
+
+
+class TestForkedForward:
+    """Two cores run the regional branches on a worker thread (``T.cores()``)."""
+
+    @staticmethod
+    def _model(rng):
+        model = _small_model()
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.data.shape) * 0.1
+        return model
+
+    @pytest.mark.parametrize("shape", [(32, 48, 3), (30, 42, 3), (28, 36, 1)],
+                             ids=["aligned", "padded", "gray"])
+    def test_predict_is_bit_identical_on_one_or_two_cores(self, rng, monkeypatch,
+                                                          shape):
+        model = self._model(rng)
+        img = rng.uniform(0.0, 0.3, shape)
+        grid = _grid(rng, 4, *shape[:2])
+        select = RegionalSelect.forward
+        main = threading.get_ident()
+        threads = set()  # True for a regional selector in the calling thread
+
+        def spy(self, *args):
+            threads.add(threading.get_ident() == main)
+            return select(self, *args)
+
+        monkeypatch.setattr(RegionalSelect, "forward", spy)
+        outs = []
+        interval = sys.getswitchinterval()
+        try:
+            # switch threads often, so the hand-off is exercised mid-op
+            sys.setswitchinterval(1e-6)
+            for cores, on_main in ((1, {True}), (2, {False})):
+                use_cores(monkeypatch, cores)
+                threads.clear()
+                outs.append(predict(model, img, grid))
+                assert threads == on_main
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("where", ["erfs", "trunk"])
+    def test_a_failure_surfaces_with_its_type_and_every_thread_ends(
+            self, rng, monkeypatch, where):
+        use_cores(monkeypatch, 2)
+        model = self._model(rng)
+        block = model.erfs[1].res2 if where == "erfs" else model.fuse
+        failed_on = []
+        failed = threading.Event()
+
+        def boom(*args):
+            failed_on.append(threading.get_ident())
+            failed.set()
+            raise T.NonFiniteError(f"{where} produced non-finite values")
+
+        last = model.erfs[0].forward
+
+        def late(*args):
+            # the worker is still busy when the trunk fails; predict must wait
+            failed.wait(5.0)
+            time.sleep(0.2)
+            return last(*args)
+
+        monkeypatch.setattr(block, "forward", boom)
+        monkeypatch.setattr(model.erfs[0], "forward", late)
+        img, grid = rng.uniform(0.0, 0.3, (16, 16, 3)), _grid(rng, 4, 16, 16)
+        seen = {}
+
+        def call():
+            # on a thread of its own, so a hang fails the test instead
+            seen["before"] = threading.active_count()
+            try:
+                predict(model, img, grid)
+            except Exception as exc:  # checked below, in the test's thread
+                seen["error"] = exc
+            seen["after"] = threading.active_count()
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(30.0)
+        assert not caller.is_alive()
+        assert type(seen["error"]) is T.NonFiniteError
+        assert str(seen["error"]) == f"{where} produced non-finite values"
+        assert seen["after"] == seen["before"]
+        # the event selector runs on the worker, the trunk on the caller
+        assert [t == caller.ident for t in failed_on] == [where == "trunk"]
 
 
 class TestForwardValidation:

@@ -9,8 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
+from evlight import blocks, training
 from evlight import tensor as T
-from evlight import training
 from evlight.events import EventStream, VoxelGrid, write_events
 from evlight.fixtures import fixtures
 from evlight.image import write_image
@@ -20,7 +20,7 @@ from evlight.training import (CHARBONNIER_EPS, Adam, RandomConvFeatures,
                               parse_config, parse_manifest, perceptual,
                               total_loss, train)
 
-from helpers import fd_gradcheck
+from helpers import fd_gradcheck, use_cores
 
 
 class TestCharbonnier:
@@ -294,13 +294,6 @@ class TestParseConfig:
             TrainConfig(lam=-0.1)
 
 
-def _one_blas_thread(monkeypatch):
-    """BLAS set to one thread, so every usable core takes a sample of its own."""
-    for var in training._BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
-
 def _tiny_config(**kw):
     base = dict(lr=1e-3, steps=2, crop=16, lam=0.1, seed=11, bins=4,
                 base_channels=4, heads=2)
@@ -469,15 +462,38 @@ class TestTrainLoop:
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(training.EvLightModel, "forward", spy)
-        _one_blas_thread(monkeypatch)
         runs = []
-        for cores in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
             threads.clear()
-            out = tmp_path / f"cores{len(cores)}"
+            out = tmp_path / f"cores{cores}"
             runs.append(train(man, _tiny_config(batch=batch, steps=3), str(out)))
             # one sample per usable core: the second core runs a sample of its own
-            assert len(threads) == len(cores)
+            assert len(threads) == cores
+        (ckpt1, csv1), (ckpt2, csv2) = runs
+        assert filecmp.cmp(csv1, csv2, shallow=False)
+        assert filecmp.cmp(ckpt1, ckpt2, shallow=False)
+
+    def test_batch_one_outputs_match_with_a_forked_forward(self, tmp_path, monkeypatch):
+        # on two cores the one sample's forward runs its regional branches
+        # on a worker thread; the run must not notice
+        man = fixtures(str(tmp_path / "data"), seed=3, count=2, size=32)
+        select = blocks.RegionalSelect.forward
+        main = threading.get_ident()
+        threads = set()  # True for a regional selector in the calling thread
+
+        def spy(self, *args, **kwargs):
+            threads.add(threading.get_ident() == main)
+            return select(self, *args, **kwargs)
+
+        monkeypatch.setattr(blocks.RegionalSelect, "forward", spy)
+        runs = []
+        for cores, on_main in ((1, {True}), (2, {False})):
+            use_cores(monkeypatch, cores)
+            threads.clear()
+            out = tmp_path / f"cores{cores}"
+            runs.append(train(man, _tiny_config(batch=1, steps=3), str(out)))
+            assert threads == on_main
         (ckpt1, csv1), (ckpt2, csv2) = runs
         assert filecmp.cmp(csv1, csv2, shallow=False)
         assert filecmp.cmp(ckpt1, ckpt2, shallow=False)
@@ -493,10 +509,27 @@ class TestTrainLoop:
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(training.EvLightModel, "forward", spy)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        _one_blas_thread(monkeypatch)
+        use_cores(monkeypatch, 2)
         with pytest.raises(T.NonFiniteError, match="conv2d"):
             train(man, _tiny_config(batch=2), str(tmp_path / "out"))
+
+    @staticmethod
+    def _first_chunk(tmp_path, monkeypatch, batch):
+        """T.cores() in each sample thread of train's first group of samples."""
+        man = fixtures(str(tmp_path / "data"), seed=3, count=1, size=32)
+        shares = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(self, *args, **kwargs):
+            shares.append(T.cores())
+            raise Stop
+
+        monkeypatch.setattr(training.EvLightModel, "forward", spy)
+        with pytest.raises(Stop):
+            train(man, _tiny_config(batch=batch), str(tmp_path / "out"))
+        return shares
 
     @pytest.mark.parametrize("cores,env,batch,want", [
         (4, {}, 8, 1),                              # BLAS's default: every core
@@ -508,14 +541,22 @@ class TestTrainLoop:
         (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 8, 2),
         (2, {"OPENBLAS_NUM_THREADS": "0"}, 8, 1),  # 0 leaves BLAS its default
     ])
-    def test_samples_run_on_the_cores_blas_leaves_free(self, monkeypatch, cores, env,
-                                                      batch, want):
+    def test_samples_run_on_the_cores_blas_leaves_free(self, tmp_path, monkeypatch,
+                                                      cores, env, batch, want):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        for var in training._BLAS_VARS:
+        for var in T._BLAS_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, val in env.items():
             monkeypatch.setenv(var, val)
-        assert training._sample_threads(batch) == want
+        # each sample of the first group reaches its forward pass, then stops
+        assert len(self._first_chunk(tmp_path, monkeypatch, batch)) == want
+
+    @pytest.mark.parametrize("batch,shares", [(1, [2]), (2, [1, 1])])
+    def test_a_sample_thread_gets_its_share_of_the_cores(self, tmp_path, monkeypatch,
+                                                         batch, shares):
+        # BLAS 1 on 2 cores: a lone sample may fork its forward, two may not
+        use_cores(monkeypatch, 2)
+        assert self._first_chunk(tmp_path, monkeypatch, batch) == shares
 
     def test_log_reports_grad_norm_clipping_and_step_time(self, tmp_path, monkeypatch):
         man = fixtures(str(tmp_path / "data"), seed=3, count=1, size=32)
