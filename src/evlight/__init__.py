@@ -11,8 +11,8 @@ from .events import (EventFormatError, EventStream, VoxelGrid, read_events,
                      simulate_events, voxelize, write_events)
 from .image import (ImageFormatError, pad_reflect, psnr, psnr_star,
                     read_image, ssim, to_gray, write_image)
-from .lightup import (LightUpEstimator, SnrMap, illumination_prior, light_up,
-                      snr_map, snr_pyramid)
+from .lightup import (LightUpEstimator, illumination_prior, light_up, snr_map,
+                      snr_pyramid)
 from .blocks import EcaResidual, Hfe, Hrf, RegionalSelect
 from .model import EvLightModel, enhance_file, infer_architecture
 from .module import (CheckpointError, Module, load_checkpoint, save_checkpoint)
@@ -32,8 +32,8 @@ __all__ = [
     "voxelize", "read_events", "write_events", "simulate_events",
     "ImageFormatError", "to_gray", "psnr", "ssim", "psnr_star",
     "read_image", "write_image", "pad_reflect",
-    "LightUpEstimator", "SnrMap", "illumination_prior", "light_up",
-    "snr_map", "snr_pyramid",
+    "LightUpEstimator", "illumination_prior", "light_up", "snr_map",
+    "snr_pyramid",
     "EcaResidual", "RegionalSelect", "Hfe", "Hrf",
     "EvLightModel", "enhance_file", "infer_architecture",
     "charbonnier", "perceptual", "total_loss", "RandomConvFeatures",

@@ -33,7 +33,7 @@ class EcaResidual(Module):
         self.eca_bias = Parameter(np.zeros(c))
 
     def forward(self, x: T.Tensor) -> T.Tensor:
-        h = self.conv2.forward(T.leaky_relu(self.conv1.forward(x), 0.2))
+        h = self.conv2.forward(T.leaky_relu(self.conv1.forward(x)))
         # ECA's 1-D conv over the pooled channels, as a 1x3 depthwise conv
         # on the [1,C,1] view
         c = h.shape[2]
@@ -92,7 +92,7 @@ class ChannelAttention(Module):
         v = T.reshape(T.slice_rows(flat, 2 * c, 3 * c), (self.heads, d, h * w))
         att = T.matmul(q, T.transpose(k, (0, 2, 1)))
         temp = T.reshape(self.alpha, (self.heads, 1, 1))
-        att = T.softmax(T.div(att, temp), axis=-1)
+        att = T.softmax(T.div(att, temp))
         out = T.matmul(att, v)
         out = T.reshape(T.transpose(T.reshape(out, (c, h * w)), (1, 0)), (h, w, c))
         return self.proj.forward(out)
@@ -135,7 +135,7 @@ class Hrf(Module):
         if sel_img.shape != sel_ev.shape or sel_img.shape != holistic.shape:
             raise ShapeError("hrf", "all", sel_img.shape,
                              (sel_ev.shape, holistic.shape))
-        cat = T.concat([sel_img, sel_ev, holistic], axis=2)
+        cat = T.concat([sel_img, sel_ev, holistic])
         gate = T.sigmoid(self.f1.forward(cat))
         gated = T.mul(self.f2.forward(cat), gate)
         return self.f3.forward(T.add(gated, cat))

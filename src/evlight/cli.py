@@ -23,7 +23,7 @@ from . import tensor as T
 from .events import (_MAGIC as EVST_MAGIC, read_events, simulate_events,
                      voxelize, write_events)
 from .image import as_rgb, psnr, psnr_star, read_image, ssim, write_image
-from .lightup import LightUpEstimator, light_up, snr_map
+from .lightup import LightUpEstimator, light_up, snr_map, snr_pyramid
 from .model import enhance_file, load_model, load_sample, predict
 from .training import TrainConfig, parse_config, parse_manifest, train
 
@@ -111,10 +111,11 @@ def _cmd_lightup(args) -> int:
 
 def _cmd_snr_map(args) -> int:
     img = read_image(args.image)
-    smap = snr_map(img, args.kernel, args.tau)
-    write_image(args.out_norm, smap.norm[:, :, None])
-    write_image(args.out_binary, smap.binary[:, :, None])
-    frac = float(smap.binary.mean())
+    norm = snr_map(img, args.kernel)
+    (binary,) = snr_pyramid(norm, args.tau, levels=1)
+    write_image(args.out_norm, norm[:, :, None])
+    write_image(args.out_binary, binary[:, :, None])
+    frac = float(binary.mean())
     print(f"wrote {args.out_norm}, {args.out_binary}; trusted fraction {frac:.4f}")
     return 0
 
@@ -154,7 +155,7 @@ def _cmd_eval(args) -> int:
             n_ok += 1
             rows.append([pair.low, f"{vals[0]:.6f}", f"{vals[1]:.6f}",
                          f"{vals[2]:.6f}"])
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, T.NonFiniteError) as exc:
             failed = True
             rows.append([pair.low, "error", "error", str(exc)])
             log.error("eval failed for %s: %s", pair.low, exc)
@@ -321,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         resolved = asdict(_train_config(args)) if args.command == "train" else None
         _print_config(args, resolved)
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, T.NonFiniteError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class EventStream:
     x: np.ndarray
     y: np.ndarray
     p: np.ndarray
-    resorted: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         t = np.ascontiguousarray(self.t, dtype=np.int64)
@@ -147,12 +146,10 @@ def _finish_stream(width, height, t, x, y, p) -> EventStream:
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     p = np.asarray(p, dtype=np.int64)
-    resorted = False
     if t.shape[0] and np.any(np.diff(t) < 0):
         order = np.argsort(t, kind="stable")
         t, x, y, p = t[order], x[order], y[order], p[order]
-        resorted = True
-    return EventStream(width, height, t, x, y, p, resorted=resorted)
+    return EventStream(width, height, t, x, y, p)
 
 
 def _read_events_binary(buf: bytes, path: str) -> EventStream:

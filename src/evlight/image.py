@@ -229,9 +229,11 @@ def read_image(path: str) -> np.ndarray:
         if len(raw) != need:
             raise ImageFormatError(f"{path}: pixel data truncated "
                                    f"({len(raw)} of {need} bytes)", pos + len(raw))
-        dt = "<f4" if scale < 0 else ">f4"
-        arr = np.frombuffer(raw, dtype=dt).reshape(h, w, c)[::-1]
-        return np.ascontiguousarray(arr.astype(np.float64))
+        arr = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ImageFormatError(f"{path}: non-finite pixel value", pos + 4 * int(bad[0]))
+        return np.ascontiguousarray(arr.reshape(h, w, c)[::-1].astype(np.float64))
     raise ImageFormatError(f"{path}: unknown magic {magic!r}", 0)
 
 

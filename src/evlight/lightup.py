@@ -3,12 +3,11 @@
 The light-up stage brightens the input multiplicatively, I_lu = I * L,
 where L comes from a small learned estimator conditioned on the image and
 its per-pixel channel-max prior. The SNR map then scores each pixel's
-trust in image evidence versus event evidence; it is built outside the
-autodiff graph and acts as a constant during training.
+trust in image evidence versus event evidence, and its pyramid thresholds
+it into binary trust masks at each scale. The map and the masks are plain
+arrays, built outside the autodiff graph: constants during training.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +32,15 @@ class LightUpEstimator(Module):
     at one so an untrained estimator leaves the image unchanged.
     """
 
-    def __init__(self, rng: np.random.Generator, hidden: int = 16):
-        self.conv_in = Conv2d(rng, 1, 4, hidden, gain=0.5)
-        self.dw = DwConv2d(rng, 5, hidden)
-        self.conv_out = Conv2d(rng, 1, hidden, 3, gain=0.1)
+    def __init__(self, rng: np.random.Generator):
+        self.conv_in = Conv2d(rng, 1, 4, 16, gain=0.5)
+        self.dw = DwConv2d(rng, 5, 16)
+        self.conv_out = Conv2d(rng, 1, 16, 3, gain=0.1)
         self.conv_out.bias.data = np.ones(3)
 
     def forward(self, img: T.Tensor) -> T.Tensor:
         prior = T.Tensor(illumination_prior(img.data))
-        cat = T.concat([img, prior], axis=2)
+        cat = T.concat([img, prior])
         return self.conv_out.forward(self.dw.forward(self.conv_in.forward(cat)))
 
 
@@ -51,51 +50,20 @@ def light_up(img: T.Tensor, estimator: LightUpEstimator) -> tuple[T.Tensor, T.Te
     return T.mul(img, ell), ell
 
 
-@dataclass(frozen=True)
-class SnrMap:
-    """Per-pixel signal-to-noise scores plus the binarized trust mask."""
+def snr_map(i_lu: np.ndarray, kernel: int = 5) -> np.ndarray:
+    """Score pixels by denoised signal over residual noise magnitude; [H,W].
 
-    raw: np.ndarray
-    norm: np.ndarray
-    binary: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        raw = np.ascontiguousarray(self.raw, dtype=np.float64)
-        if raw.ndim != 2:
-            raise ValueError(f"raw must be [H,W], got {raw.shape}")
-        object.__setattr__(self, "raw", raw)
-        for name in ("norm", "binary"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != raw.shape:
-                raise ValueError(f"{name} shape {arr.shape} != raw {raw.shape}")
-            object.__setattr__(self, name, arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.raw.shape
-
-
-def snr_map(i_lu, kernel: int = 5, tau: float = 0.5) -> SnrMap:
-    """Score pixels by denoised signal over residual noise magnitude.
-
-    raw = mean_filter(I_g) / max(|I_g - mean_filter(I_g)|, 1e-4), then
-    norm = raw / max(raw) (all-ones when the map is flat zero) and
-    binary = (norm >= tau). Operates on plain arrays: the map is a
-    constant downstream, never a gradient path.
+    raw = mean_filter(I_g) / max(|I_g - mean_filter(I_g)|, 1e-4), and the
+    map is norm = raw / max(raw), all ones when raw is flat zero. Operates
+    on plain arrays: the map is a constant downstream, never a gradient path.
     """
     if kernel < 3 or kernel % 2 == 0:
         raise ValueError("kernel must be odd and >= 3")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    data = i_lu.data if isinstance(i_lu, T.Tensor) else np.asarray(i_lu)
-    gray = np.maximum(to_gray(data), 0.0)
+    gray = np.maximum(to_gray(i_lu), 0.0)
     smooth = _k.box_filter(np.ascontiguousarray(gray), kernel)
     raw = smooth / np.maximum(np.abs(gray - smooth), 1e-4)
     mx = raw.max() if raw.size else 0.0
-    norm = raw / mx if mx > 0 else np.ones_like(raw)
-    binary = (norm >= tau).astype(np.float64)
-    return SnrMap(raw, norm, binary, tau)
+    return raw / mx if mx > 0 else np.ones_like(raw)
 
 
 def _pool2(a: np.ndarray) -> np.ndarray:
@@ -103,20 +71,21 @@ def _pool2(a: np.ndarray) -> np.ndarray:
     return a.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def snr_pyramid(m: SnrMap, levels: int = 3) -> list[SnrMap]:
-    """Halve the map per level by 2x2 mean pooling, re-binarizing at tau.
+def snr_pyramid(norm: np.ndarray, tau: float, levels: int = 3) -> list[np.ndarray]:
+    """The binary trust masks (norm >= tau) at ``levels`` scales, full first.
 
-    Pooled levels keep the pooled norm as-is (no renormalization), so a
-    0/1 checkerboard pools to 0.5 and binarizes to one under tau = 0.5.
+    Each level halves the norm map by 2x2 mean pooling, without
+    renormalizing, so a 0/1 checkerboard pools to 0.5 and binarizes to one
+    under tau = 0.5.
     """
-    h, w = m.shape
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+    h, w = norm.shape
     step = 2 ** (levels - 1)
     if h % step or w % step:
         raise ValueError(f"extents {h}x{w} not divisible by {step}; pad first")
-    out = [m]
+    masks = [(norm >= tau).astype(np.float64)]
     for _ in range(1, levels):
-        prev = out[-1]
-        raw = _pool2(prev.raw)
-        norm = _pool2(prev.norm)
-        out.append(SnrMap(raw, norm, (norm >= m.tau).astype(np.float64), m.tau))
-    return out
+        norm = _pool2(norm)
+        masks.append((norm >= tau).astype(np.float64))
+    return masks

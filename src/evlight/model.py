@@ -35,20 +35,18 @@ from . import tensor as T
 from .blocks import Hfe, Hrf, RegionalSelect
 from .events import VoxelGrid, read_events, voxelize
 from .image import as_rgb, pad_reflect, read_image, write_image
-from .lightup import LightUpEstimator, SnrMap, light_up, snr_map, snr_pyramid
+from .lightup import LightUpEstimator, light_up, snr_map, snr_pyramid
 from .module import (CheckpointError, Conv2d, Deconv2d, Module,
                      load_checkpoint)
 
 
 class EvLightModel(Module):
     def __init__(self, rng: np.random.Generator, base_channels: int = 16,
-                 heads: int = 2, bins: int = 32, snr_kernel: int = 5,
-                 tau: float = 0.5):
+                 heads: int = 2, bins: int = 32, tau: float = 0.5):
         c = base_channels
         self.base_channels = c
         self.heads = heads
         self.bins = bins
-        self.snr_kernel = snr_kernel
         self.tau = tau
 
         self.estimator = LightUpEstimator(rng)
@@ -81,10 +79,8 @@ class EvLightModel(Module):
         denom = q if q > 1e-8 else 1.0
         return np.ascontiguousarray(grid.data.transpose(1, 2, 0)) / denom
 
-    def forward(self, img: np.ndarray, grid: VoxelGrid,
-                snr_override: SnrMap | None = None
-                ) -> tuple[T.Tensor, T.Tensor, SnrMap]:
-        """(I_en, I_lu, SNR map) for an [H,W,3] image and its voxel grid.
+    def forward(self, img: np.ndarray, grid: VoxelGrid) -> tuple[T.Tensor, T.Tensor]:
+        """(I_en, I_lu) for an [H,W,3] image and its voxel grid.
 
         With two cores (``T.cores() >= 2``), one worker thread makes the
         regional (IRFS, ERFS) pairs, deepest scale first, and this thread
@@ -109,11 +105,7 @@ class EvLightModel(Module):
                              f"match image {h}x{w}")
 
         i_lu, _ell = light_up(T.Tensor(img), self.estimator)
-        smap = snr_override if snr_override is not None else \
-            snr_map(i_lu.data, self.snr_kernel, self.tau)
-        if smap.shape != (h, w):
-            raise ValueError(f"SNR map {smap.shape} does not match image {h}x{w}")
-        masks = [level.binary for level in snr_pyramid(smap, 3)]
+        masks = snr_pyramid(snr_map(i_lu.data), self.tau)
 
         f_img = self.img_stem.forward(i_lu)
         f_ev = self.ev_stem.forward(T.Tensor(self.normalize_grid(grid)))
@@ -126,7 +118,7 @@ class EvLightModel(Module):
         with T.beside(_feed, worker):
             # holistic trunk; events enter only where the image is untrusted
             ev_gated = T.mul(f_ev, T.Tensor(1.0 - masks[0][:, :, None]))
-            x = self.fuse.forward(T.concat([f_img, ev_gated], axis=2))
+            x = self.fuse.forward(T.concat([f_img, ev_gated]))
             del f_img, f_ev, ev_gated, regional
             x = self.enc_hfe[0].forward(x)
             x = self.enc_hfe[1].forward(self.enc_down[0].forward(x))
@@ -138,7 +130,7 @@ class EvLightModel(Module):
                     x = self.up[2 - s].forward(self.dec_hfe[2 - s].forward(x))
 
         i_en = T.add(self.head.forward(x), i_lu)
-        return i_en, i_lu, smap
+        return i_en, i_lu
 
     def _regional(self, f_img: T.Tensor, f_ev: T.Tensor, masks: list[np.ndarray]
                   ) -> Iterator[tuple[T.Tensor, T.Tensor]]:
@@ -202,7 +194,7 @@ def predict(model: EvLightModel, img: np.ndarray, grid: VoxelGrid) -> np.ndarray
         gdata = np.pad(gdata, ((0, 0), (0, ph), (0, pw)), mode="reflect")
     pgrid = VoxelGrid(gdata, grid.bins, padded.shape[1], padded.shape[0])
     with T.no_grad():
-        i_en, _, _ = model.forward(padded, pgrid)
+        i_en, _ = model.forward(padded, pgrid)
     return np.clip(i_en.data[:h, :w, :], 0.0, 1.0)
 
 

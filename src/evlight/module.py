@@ -65,12 +65,6 @@ class Module:
                     f"checkpoint has {arr.shape}")
             p.data = arr
 
-    def save(self, path: str) -> None:
-        save_checkpoint(self.state_arrays(), path)
-
-    def load(self, path: str) -> None:
-        self.load_state(load_checkpoint(path))
-
 
 def save_checkpoint(state: Mapping[str, np.ndarray], path: str) -> None:
     names = sorted(state)
@@ -114,6 +108,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             n = int(np.prod(shape)) if rank else 1
             raw = _read_exact(f, 8 * n, f"data for {name}")
             arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
             out[name] = arr
         if f.read(1):
             raise CheckpointError("trailing bytes after final parameter")
@@ -151,10 +147,9 @@ class Conv2d(Module):
         else:
             self.weight, self.bias = conv_init(rng, k, cin, cout, gain)
         self.stride = stride
-        self.padding = (k - 1) // 2
 
     def forward(self, x: T.Tensor) -> T.Tensor:
-        return T.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return T.conv2d(x, self.weight, self.bias, self.stride)
 
 
 class DwConv2d(Module):

@@ -4,7 +4,8 @@ Every operation the enhancement model needs lives here, each with its own
 gradient: convolutions, pooling, layer norm, softmax, pointwise activations,
 slicing and elementwise arithmetic. The one exception is the 2x2 transposed
 convolution ``deconv2d``, composed from ``conv2d``, ``reshape``, ``transpose``
-and ``add``. ``add``, ``sub``, ``mul`` and ``div`` share one broadcast rule:
+and ``add``. A k×k ``conv2d`` zero-pads by (k-1)//2, the one padding the
+network uses. ``add``, ``sub``, ``mul`` and ``div`` share one broadcast rule:
 ``b`` broadcasts into ``a`` when the two are aligned on their trailing axes
 and each extent of ``b`` equals ``a``'s or is 1, so the result always has
 ``a``'s shape (a per-pixel mask is [H,W,1], a per-channel gate [C]).
@@ -81,9 +82,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def item(self) -> float:
         return float(self.data)
@@ -347,28 +345,21 @@ def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
     return _result(np.ascontiguousarray(x.data[lo:hi]), "slice_rows", (x,), back)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join [H,W,C] tensors of one extent along the channel axis."""
     if not tensors:
         raise ShapeError("concat", "all", "non-empty input list", ())
-    nd = tensors[0].ndim
-    if axis < -nd or axis >= nd:
-        raise ShapeError("concat", axis, f"axis in [-{nd},{nd})", axis)
-    ax = axis % nd
-    ref = list(tensors[0].shape)
-    for t in tensors[1:]:
-        got = list(t.shape)
-        if len(got) != nd or any(r != g for i, (r, g) in enumerate(zip(ref, got)) if i != ax):
-            raise ShapeError("concat", ax, ref, got)
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    hw = tensors[0].shape[:2]
+    for t in tensors:
+        if t.ndim != 3 or t.shape[:2] != hw:
+            raise ShapeError("concat", "all", f"[H,W,C] of extent {hw}", t.shape)
+    offsets = np.cumsum([0] + [t.shape[2] for t in tensors])
 
-    def back(g, tensors=tuple(tensors), ax=ax, offsets=offsets):
+    def back(g, tensors=tuple(tensors), offsets=offsets):
         for i, t in enumerate(tensors):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(offsets[i], offsets[i + 1])
-            _accum(t, g[tuple(sl)])
+            _accum(t, g[:, :, offsets[i]:offsets[i + 1]])
 
-    return _result(np.concatenate([t.data for t in tensors], axis=ax),
+    return _result(np.concatenate([t.data for t in tensors], axis=2),
                    "concat", tensors, back)
 
 
@@ -383,11 +374,12 @@ def relu(x: Tensor) -> Tensor:
     return _result(np.maximum(x.data, 0.0), "relu", (x,), back)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    def back(g, x=x, slope=slope):
-        _accum(x, g * np.where(x.data > 0, 1.0, slope))
+def leaky_relu(x: Tensor) -> Tensor:
+    """Slope 0.2 below zero."""
+    def back(g, x=x):
+        _accum(x, g * np.where(x.data > 0, 1.0, 0.2))
 
-    return _result(np.where(x.data > 0, x.data, slope * x.data),
+    return _result(np.where(x.data > 0, x.data, 0.2 * x.data),
                    "leaky_relu", (x,), back)
 
 
@@ -417,28 +409,27 @@ def gelu(x: Tensor) -> Tensor:
     return _result(out, "gelu", (x,), back)
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    if axis < -x.ndim or axis >= x.ndim:
-        raise ShapeError("softmax", axis, f"axis in [-{x.ndim},{x.ndim})", axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
-    def back(g, x=x, s=s, axis=axis):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+    def back(g, x=x, s=s):
+        dot = (g * s).sum(axis=-1, keepdims=True)
         _accum(x, s * (g - dot))
 
     return _result(s, "softmax", (x,), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last (channel) axis per instance."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last (channel) axis per instance; eps 1e-6."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("layer_norm", -1, (c,), (gamma.shape, beta.shape))
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = (x.data - mu) * inv
 
     def back(g, x=x, gamma=gamma, beta=beta, inv=inv, xhat=xhat):
@@ -510,9 +501,10 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim not in (2, 3) or b.ndim != a.ndim:
-        raise ShapeError("matmul", "all", "2D@2D or batched 3D@3D", (a.shape, b.shape))
-    if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
+    """Batched [N,m,k] @ [N,k,n]."""
+    if a.ndim != 3 or b.ndim != 3:
+        raise ShapeError("matmul", "all", "batched 3D@3D", (a.shape, b.shape))
+    if a.shape[2] != b.shape[1] or a.shape[0] != b.shape[0]:
         raise ShapeError("matmul", -1, a.shape, b.shape)
 
     def back(g, a=a, b=b):
@@ -581,8 +573,9 @@ def _pad(a: np.ndarray, p: int) -> np.ndarray:
     return np.pad(a, ((p, p), (p, p), (0, 0))) if p else a
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D correlation on [H,W,Cin] with a [k,k,Cin,Cout] kernel.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """2-D correlation on [H,W,Cin] with a [k,k,Cin,Cout] kernel, zero-padded
+    by (k-1)//2: stride 1 keeps the extent for odd k, stride 2 halves an even one.
 
     Stride 1 is lowered MEC-style, one cache-sized band of rows at a time
     (width-only unfold, k row-shifted GEMMs; the input gradient is the same
@@ -594,6 +587,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeError("conv2d", "all", "[k,k,Cin,Cout] weight", w.shape)
     k = w.shape[0]
+    padding = (k - 1) // 2
     cin, cout = w.shape[2], w.shape[3]
     if x.shape[2] != cin:
         raise ShapeError("conv2d", 2, cin, x.shape[2])
@@ -650,11 +644,9 @@ def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, padding: int,
             _accum(b, gmat.sum(axis=0))
         if x.requires_grad:
             # full correlation with the flipped kernel; padding g by k-1-p
-            # (cropping when negative) lands it on x's extent directly
-            q = k - 1 - padding
-            gq = _pad(g, q) if q >= 0 else g[-q:g.shape[0] + q, -q:g.shape[1] + q]
+            # lands it on x's extent directly
             wf = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k, k * cout, cin)
-            _accum(x, _mec(gq, wf).reshape(x.shape))
+            _accum(x, _mec(_pad(g, k - 1 - padding), wf).reshape(x.shape))
 
     return _result(out.reshape(hout, wout, cout), "conv2d", (x, w, b), back)
 

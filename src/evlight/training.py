@@ -27,10 +27,9 @@ from .tensor import Parameter, Tensor
 CHARBONNIER_EPS = 1e-4
 
 
-def charbonnier(en: Tensor, gt) -> Tensor:
+def charbonnier(en: Tensor, gt: np.ndarray) -> Tensor:
     """sqrt(mean((en-gt)^2) + eps^2), eps = 1e-4; equals eps at en = gt."""
-    gt_t = gt if isinstance(gt, Tensor) else Tensor(np.asarray(gt, dtype=np.float64))
-    diff = T.sub(en, gt_t)
+    diff = T.sub(en, Tensor(gt))
     return T.sqrt(T.add(T.mean(T.mul(diff, diff)),
                         CHARBONNIER_EPS * CHARBONNIER_EPS))
 
@@ -38,7 +37,7 @@ def charbonnier(en: Tensor, gt) -> Tensor:
 class RandomConvFeatures:
     """Frozen 3-stage random-conv feature pyramid (the perceptual phi).
 
-    Each stage is a 3x3 stride-2 conv (padding 1), ReLU between stages.
+    Each stage is a 3x3 stride-2 conv, ReLU between stages.
     """
 
     WIDTHS = (8, 16, 32)
@@ -56,26 +55,25 @@ class RandomConvFeatures:
     def features(self, x: Tensor) -> list[Tensor]:
         outs = []
         for i, (w, b) in enumerate(self.stages):
-            x = T.conv2d(x, w, b, stride=2, padding=1)
+            x = T.conv2d(x, w, b, stride=2)
             if i + 1 < len(self.stages):
                 x = T.relu(x)
             outs.append(x)
         return outs
 
 
-def perceptual(en: Tensor, gt, phi: RandomConvFeatures) -> Tensor:
+def perceptual(en: Tensor, gt: np.ndarray, phi: RandomConvFeatures) -> Tensor:
     """Sum over stages of mean |phi(en) - phi(gt)|."""
-    gt_t = gt if isinstance(gt, Tensor) else Tensor(np.asarray(gt, dtype=np.float64))
     fe = phi.features(en)
-    fg = phi.features(gt_t.detach())
+    fg = phi.features(Tensor(gt))
     total = None
     for a, b in zip(fe, fg):
-        term = T.mean(T.absolute(T.sub(a, b.detach())))
+        term = T.mean(T.absolute(T.sub(a, b)))
         total = term if total is None else T.add(total, term)
     return total
 
 
-def total_loss(en: Tensor, gt, lam: float,
+def total_loss(en: Tensor, gt: np.ndarray, lam: float,
                phi: RandomConvFeatures | None) -> tuple[Tensor, float, float]:
     """charbonnier + lam*perceptual; returns (loss, charb value, perc value)."""
     ch = charbonnier(en, gt)
@@ -193,7 +191,14 @@ def parse_manifest(path: str) -> list[SamplePair]:
                                  f"fields, got {len(parts)}")
             low, events, gt = (p if os.path.isabs(p) else os.path.join(base, p)
                                for p in parts[:3])
-            pairs.append(SamplePair(low, events, gt, int(parts[3]), int(parts[4])))
+            times = []
+            for key, val in zip(("t0", "t1"), parts[3:]):
+                try:
+                    times.append(int(val))
+                except ValueError:
+                    raise ValueError(f"{path}: line {ln}: bad integer {val!r} "
+                                     f"for {key}") from None
+            pairs.append(SamplePair(low, events, gt, *times))
     return pairs
 
 
@@ -312,7 +317,7 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     def sample_grads(sample):
         """One sample's leaf gradients and (loss, charbonnier, perceptual)."""
         low_a, grid_a, gt_a = sample
-        i_en, _, _ = model.forward(low_a, grid_a)
+        i_en, _ = model.forward(low_a, grid_a)
         loss, ch, pe = total_loss(i_en, gt_a, config.lam, phi)
         return T.backward(loss), (loss.item(), ch, pe)
 

@@ -33,7 +33,7 @@ class TestEcaResidual:
         blk.eca_bias.data = np.full(4, 40.0)  # sigmoid(40) rounds to 1.0
         x = rand_tensor(rng, (6, 6, 4), requires_grad=False)
         y = blk.forward(x)
-        h = blk.conv2.forward(T.leaky_relu(blk.conv1.forward(x), 0.2))
+        h = blk.conv2.forward(T.leaky_relu(blk.conv1.forward(x)))
         assert np.array_equal(y.data, x.data + h.data)
 
     def test_gradcheck(self, rng):
@@ -51,7 +51,7 @@ class TestEcaResidual:
         x = rand_tensor(rng, (5, 7, 6))
 
         def reference(x):
-            h = blk.conv2.forward(T.leaky_relu(blk.conv1.forward(x), 0.2))
+            h = blk.conv2.forward(T.leaky_relu(blk.conv1.forward(x)))
             gate = T.sigmoid(T.add(conv1d_same(T.global_avg_pool(h), blk.eca_weight),
                                    blk.eca_bias))
             return T.add(x, T.mul(h, gate))
@@ -141,8 +141,8 @@ class TestHfe:
         captured = []
         orig = T.softmax
 
-        def spy(x, axis=-1):
-            out = orig(x, axis=axis)
+        def spy(x):
+            out = orig(x)
             captured.append(out.data.copy())
             return out
 
@@ -186,7 +186,7 @@ class TestHrf:
         b = rand_tensor(rng, (6, 6, 4), requires_grad=False)
         c = rand_tensor(rng, (6, 6, 4), requires_grad=False)
         out = blk.forward(a, b, c).data
-        cat = T.concat([a, b, c], axis=2)
+        cat = T.concat([a, b, c])
         expect = blk.f3.forward(T.add(blk.f2.forward(cat), cat)).data
         assert np.array_equal(out, expect)
 

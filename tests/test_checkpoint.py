@@ -40,12 +40,21 @@ def test_roundtrip_bit_exact(rng, tmp_path):
 def test_load_into_module_restores(rng, tmp_path):
     m = Small(rng)
     path = tmp_path / "m.evlt"
-    m.save(str(path))
+    save_checkpoint(m.state_arrays(), str(path))
     m2 = Small(np.random.default_rng(99))
     assert not np.array_equal(m2.conv1.weight.data, m.conv1.weight.data)
-    m2.load(str(path))
+    m2.load_state(load_checkpoint(str(path)))
     for (_, a), (_, b) in zip(m.named_parameters(), m2.named_parameters()):
         assert np.array_equal(a.data, b.data)
+
+
+def test_non_finite_parameter_named(rng, tmp_path):
+    state = Small(rng).state_arrays()
+    state["stack.0.weight"][0, 0, 1, 2] = np.nan
+    p = tmp_path / "m.evlt"
+    save_checkpoint(state, str(p))
+    with pytest.raises(CheckpointError, match=r"stack\.0\.weight holds non-finite"):
+        load_checkpoint(str(p))
 
 
 def test_bad_magic(tmp_path):
@@ -58,7 +67,7 @@ def test_bad_magic(tmp_path):
 def test_truncated_payload(rng, tmp_path):
     m = Small(rng)
     p = tmp_path / "m.evlt"
-    m.save(str(p))
+    save_checkpoint(m.state_arrays(), str(p))
     data = p.read_bytes()
     p.write_bytes(data[:-5])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -68,7 +77,7 @@ def test_truncated_payload(rng, tmp_path):
 def test_trailing_bytes(rng, tmp_path):
     m = Small(rng)
     p = tmp_path / "m.evlt"
-    m.save(str(p))
+    save_checkpoint(m.state_arrays(), str(p))
     p.write_bytes(p.read_bytes() + b"x")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(str(p))
@@ -82,7 +91,7 @@ def test_mismatch_lists_names(rng, tmp_path):
     p = tmp_path / "m.evlt"
     save_checkpoint(state, str(p))
     with pytest.raises(CheckpointError) as e:
-        m.load(str(p))
+        m.load_state(load_checkpoint(str(p)))
     assert "gain" in str(e.value) and "ghost" in str(e.value)
 
 
@@ -93,7 +102,7 @@ def test_shape_mismatch_named(rng, tmp_path):
     p = tmp_path / "m.evlt"
     save_checkpoint(state, str(p))
     with pytest.raises(CheckpointError, match="gain"):
-        m.load(str(p))
+        m.load_state(load_checkpoint(str(p)))
 
 
 def test_scalar_rank_zero(tmp_path):

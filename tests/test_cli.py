@@ -1,6 +1,7 @@
 """CLI behavior through main(argv): files written, exit codes, messages."""
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from evlight.events import (EventStream, read_events, simulate_events, voxelize,
 from evlight.image import read_image, write_image
 from evlight.lightup import light_up
 from evlight.model import EvLightModel
+from evlight.module import save_checkpoint
 from evlight.tensor import Tensor
 
 
@@ -25,6 +27,23 @@ def _write_scene(tmp_path, rng, size=32):
     ev_path = str(tmp_path / "ev.evst")
     write_events(EventStream(*stream_args), ev_path)
     return low_path, ev_path
+
+
+def _checkpoint(path, seed=0, fill=None):
+    """Write a small untrained model's checkpoint to ``path``; ``fill``, when
+    given, replaces every parameter value."""
+    state = EvLightModel(np.random.default_rng(seed), base_channels=4,
+                         bins=4).state_arrays()
+    if fill is not None:
+        state = {name: np.full_like(arr, fill) for name, arr in state.items()}
+    save_checkpoint(state, path)
+
+
+def _write_nan_pfm(path):
+    """A dim 32x32 RGB PFM with one NaN pixel value."""
+    img = np.full((32, 32, 3), 0.1)
+    img[3, 5, 1] = np.nan
+    write_image(path, img)
 
 
 class TestVoxelize:
@@ -96,7 +115,7 @@ class TestLightupAndSnr:
     def test_lightup_with_checkpoint_infers_width(self, tmp_path, rng):
         low_path, _ = _write_scene(tmp_path, rng)
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(1), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt, seed=1)
         out = str(tmp_path / "lu.pfm")
         assert main(["lightup", "--image", low_path, "--ckpt", ckpt,
                      "--out", out]) == 0
@@ -108,7 +127,7 @@ class TestLightupAndSnr:
         for p in model.estimator.parameters():
             p.data = rng.standard_normal(p.data.shape) * 0.1
         ckpt = str(tmp_path / "m.evlt")
-        model.save(ckpt)
+        save_checkpoint(model.state_arrays(), ckpt)
         out = str(tmp_path / "lu.pfm")
         assert main(["lightup", "--image", low_path, "--ckpt", ckpt,
                      "--out", out]) == 0
@@ -119,7 +138,7 @@ class TestLightupAndSnr:
     def test_lightup_seed_with_checkpoint_rejected(self, tmp_path, rng, capsys):
         low_path, _ = _write_scene(tmp_path, rng)
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(1), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt, seed=1)
         out = tmp_path / "lu.pfm"
         with pytest.raises(SystemExit) as exc:
             main(["lightup", "--image", low_path, "--ckpt", ckpt, "--out", str(out),
@@ -138,7 +157,7 @@ class TestLightupAndSnr:
         extra = []
         if with_ckpt:
             extra = ["--ckpt", str(tmp_path / "m.evlt")]
-            EvLightModel(np.random.default_rng(1), base_channels=4, bins=4).save(extra[1])
+            _checkpoint(extra[1], seed=1)
         outs = []
         for src in (gray_path, rgb_path):
             outs.append(str(tmp_path / f"lu_{os.path.basename(src)}.pfm"))
@@ -162,13 +181,51 @@ class TestEnhance:
     def test_enhance_writes_output(self, tmp_path, rng):
         low_path, ev_path = _write_scene(tmp_path, rng)
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt)
         out = str(tmp_path / "en.pfm")
         assert main(["enhance", "--image", low_path, "--events", ev_path,
                      "--ckpt", ckpt, "--out", out]) == 0
         en = read_image(out)
         assert en.shape == (32, 32, 3)
         assert en.min() >= 0.0 and en.max() <= 1.0
+
+    def test_non_finite_checkpoint_exits_one_naming_the_parameter(
+            self, tmp_path, rng, capsys):
+        low_path, ev_path = _write_scene(tmp_path, rng)
+        state = EvLightModel(np.random.default_rng(0), base_channels=4,
+                             bins=4).state_arrays()
+        state["head.weight"][1, 1, 0, 0] = np.nan
+        ckpt = str(tmp_path / "m.evlt")
+        save_checkpoint(state, ckpt)
+        out = tmp_path / "en.pfm"
+        assert main(["enhance", "--image", low_path, "--events", ev_path,
+                     "--ckpt", ckpt, "--out", str(out)]) == 1
+        assert "parameter head.weight holds non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_pixel_exits_one_naming_the_file(self, tmp_path, rng, capsys):
+        _, ev_path = _write_scene(tmp_path, rng)
+        low_path = str(tmp_path / "nan.pfm")
+        _write_nan_pfm(low_path)
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt)
+        out = tmp_path / "en.pfm"
+        assert main(["enhance", "--image", low_path, "--events", ev_path,
+                     "--ckpt", ckpt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{low_path}: non-finite pixel value (byte offset" in err
+        assert not out.exists()
+
+    def test_overflow_exits_one_naming_the_op(self, tmp_path, rng, capsys):
+        low_path, ev_path = _write_scene(tmp_path, rng)
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt, fill=1e200)
+        out = tmp_path / "en.pfm"
+        assert main(["enhance", "--image", low_path, "--events", ev_path,
+                     "--ckpt", ckpt, "--out", str(out)]) == 1
+        assert re.search(r"error: \w+ produced non-finite values",
+                         capsys.readouterr().err)
+        assert not out.exists()
 
     def test_csv_events_equal_evst_events(self, tmp_path, rng):
         # a CSV file has no sensor header, and these events stop short of
@@ -180,7 +237,7 @@ class TestEnhance:
                              rng.integers(0, 26, 80), rng.integers(0, 23, 80),
                              rng.choice([-1, 1], 80))
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt)
         outs = []
         for ext in ("evst", "csv"):
             ev_path = str(tmp_path / f"ev.{ext}")
@@ -195,7 +252,7 @@ class TestEnhance:
         ev_path = tmp_path / "ev.csv"
         ev_path.write_text("t,x,y,p\n1,3,3,1\n2,32,3,-1\n")
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt)
         assert main(["enhance", "--image", low_path, "--events", str(ev_path),
                      "--ckpt", ckpt, "--out", str(tmp_path / "en.pfm")]) == 1
         assert "line 3: x=32 out of bounds (sensor 32x32)" in capsys.readouterr().err
@@ -238,7 +295,7 @@ class TestTrainEval:
                             "missing.ppm\tscene_0/events.evst\t"
                             "scene_0/gt.ppm\t0\t100000\n")
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt)
         out_csv = str(tmp_path / "scores.csv")
         assert main(["eval", "--manifest", str(man_path), "--ckpt", ckpt,
                      "--out", out_csv]) == 1
@@ -246,6 +303,39 @@ class TestTrainEval:
         assert len(lines) == 4  # header, ok row, error row, mean
         assert ",error,error," in lines[2]
         assert "1/2 rows ok" in capsys.readouterr().out
+
+    def test_eval_scores_the_rows_beside_a_non_finite_image(self, tmp_path, capsys):
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "2", "--size", "32"])
+        data = tmp_path / "data"
+        _write_nan_pfm(str(data / "scene_1" / "low.pfm"))
+        man_path = data / "manifest.txt"
+        rows = man_path.read_text().splitlines()
+        man_path.write_text("\n".join(
+            r.replace("scene_1/low.ppm", "scene_1/low.pfm") for r in rows) + "\n")
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt)
+        out_csv = str(tmp_path / "scores.csv")
+        assert main(["eval", "--manifest", str(man_path), "--ckpt", ckpt,
+                     "--out", out_csv]) == 1
+        lines = open(out_csv).read().strip().splitlines()
+        assert len(lines) == 4  # header, ok row, error row, mean
+        assert lines[1].split(",")[0].endswith("low.ppm")
+        assert ",error,error," in lines[2] and "non-finite pixel value" in lines[2]
+        assert lines[3].startswith("mean,")
+        assert "1/2 rows ok" in capsys.readouterr().out
+
+    def test_eval_overflow_is_a_row_error(self, tmp_path, capsys):
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "1", "--size", "32"])
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt, fill=1e200)
+        out_csv = str(tmp_path / "scores.csv")
+        assert main(["eval", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+                     "--ckpt", ckpt, "--out", out_csv]) == 1
+        row = open(out_csv).read().splitlines()[1]
+        assert ",error,error," in row and "produced non-finite values" in row
+        assert "0/1 rows ok" in capsys.readouterr().out
 
     def test_eval_accepts_grayscale_low(self, tmp_path, capsys):
         # enhance repeats a one-channel low to RGB; eval must do the same
@@ -257,7 +347,7 @@ class TestTrainEval:
         man_path = data / "manifest.txt"
         man_path.write_text(man_path.read_text().replace("low.ppm", "low.pgm"))
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt)
         out_csv = str(tmp_path / "scores.csv")
         assert main(["eval", "--manifest", str(man_path), "--ckpt", ckpt,
                      "--out", out_csv]) == 0
@@ -281,7 +371,7 @@ class TestTrainEval:
     def test_eval_rejects_sensor_mismatch(self, tmp_path, capsys):
         man = self._sensor_mismatch_manifest(tmp_path)
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt)
         out_csv = str(tmp_path / "scores.csv")
         assert main(["eval", "--manifest", man, "--ckpt", ckpt,
                      "--out", out_csv]) == 1
@@ -340,7 +430,7 @@ class TestTrainEval:
         man = tmp_path / "m.txt"
         man.write_text("# empty\n")
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(0), base_channels=4, bins=4).save(ckpt)
+        _checkpoint(ckpt)
         rc = main(["eval", "--manifest", str(man), "--ckpt", ckpt,
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 1

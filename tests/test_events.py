@@ -129,7 +129,6 @@ class TestEventIO:
         assert (r.width, r.height) == (s.width, s.height)
         for a, b in ((r.t, s.t), (r.x, s.x), (r.y, s.y), (r.p, s.p)):
             assert np.array_equal(a, b)
-        assert not r.resorted
 
     def test_empty_body_valid_header(self, tmp_path):
         z = np.zeros(0, dtype=np.int64)
@@ -170,12 +169,13 @@ class TestEventIO:
         with pytest.raises(EventFormatError):
             read_events(str(p))
 
-    def test_unsorted_input_resorted_with_flag(self, tmp_path):
+    def test_unsorted_input_resorted(self, tmp_path):
         p = tmp_path / "e.csv"
-        p.write_text("t,x,y,p\n50,1,1,1\n10,0,0,-1\n")
+        p.write_text("t,x,y,p\n50,1,2,1\n10,3,0,-1\n")
         r = read_events(str(p), width=4, height=4)
-        assert r.resorted
         assert list(r.t) == [10, 50]
+        # each event's fields move with its timestamp
+        assert (list(r.x), list(r.y), list(r.p)) == ([3, 1], [0, 2], [-1, 1])
 
     def test_csv_roundtrip(self, rng, tmp_path):
         s = _random_stream(rng, 50)

@@ -195,6 +195,20 @@ class TestImageIO:
             read_image(str(p))
         assert e.value.offset == 0
 
+    def test_pfm_non_finite_names_file_and_offset(self, tmp_path):
+        p = tmp_path / "n.pfm"
+        write_image(str(p), np.full((3, 4, 3), 0.5))
+        data = bytearray(p.read_bytes())
+        # floats 7 and 20 of the body; the first one named is the earlier
+        first = len(b"PF\n4 3\n-1.0\n") + 4 * 7
+        data[first:first + 4] = np.float32(np.nan).tobytes()
+        data[first + 52:first + 56] = np.float32(np.inf).tobytes()
+        p.write_bytes(bytes(data))
+        with pytest.raises(ImageFormatError, match="non-finite") as e:
+            read_image(str(p))
+        assert e.value.offset == first
+        assert str(e.value).startswith(f"{p}: ")
+
     def test_header_comment_allowed(self, tmp_path):
         p = tmp_path / "c.ppm"
         p.write_bytes(b"P6\n# comment\n2 1\n255\n" + bytes(6))

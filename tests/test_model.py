@@ -11,16 +11,16 @@ from evlight import tensor as T
 from evlight.blocks import RegionalSelect
 from evlight.events import EventStream, VoxelGrid, voxelize, write_events
 from evlight.image import pad_reflect, read_image, write_image
-from evlight.lightup import SnrMap, light_up
+from evlight.lightup import light_up
 from evlight.model import EvLightModel, enhance_file, infer_architecture, predict
 from evlight.module import CheckpointError, save_checkpoint
 
 from helpers import use_cores
 
 
-def _small_model(seed=0, bins=4):
+def _small_model(seed=0, bins=4, tau=0.5):
     return EvLightModel(np.random.default_rng(seed), base_channels=4,
-                        heads=2, bins=bins, snr_kernel=3)
+                        heads=2, bins=bins, tau=tau)
 
 
 def _grid(rng, bins, h, w, scale=1.0):
@@ -37,33 +37,31 @@ class TestForward:
     def test_output_shapes_and_finiteness(self, rng):
         model = _small_model()
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
-        i_en, i_lu, smap = model.forward(img, _grid(rng, 4, 16, 16))
+        i_en, i_lu = model.forward(img, _grid(rng, 4, 16, 16))
         assert i_en.shape == (16, 16, 3)
         assert i_lu.shape == (16, 16, 3)
-        assert smap.shape == (16, 16)
         assert np.all(np.isfinite(i_en.data))
 
     def test_head_zero_makes_enhanced_equal_lightup(self, rng):
         model = _small_model()
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
-        i_en, i_lu, _ = model.forward(img, _grid(rng, 4, 16, 16))
+        i_en, i_lu = model.forward(img, _grid(rng, 4, 16, 16))
         assert np.array_equal(i_en.data, i_lu.data)
 
     def test_event_invariance_where_snr_trusts_image(self, rng):
-        model = _small_model()
+        # every normalised SNR value is >= 0, so tau 0 trusts every pixel
+        model = _small_model(tau=0.0)
         for p in model.parameters():
             p.data = rng.standard_normal(p.data.shape) * 0.1
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
-        ones = np.ones((16, 16))
-        override = SnrMap(ones, ones, ones, 0.5)
-        out_a, _, _ = model.forward(img, _grid(rng, 4, 16, 16), override)
-        out_b, _, _ = model.forward(img, _grid(rng, 4, 16, 16, scale=7.0), override)
+        out_a, _ = model.forward(img, _grid(rng, 4, 16, 16))
+        out_b, _ = model.forward(img, _grid(rng, 4, 16, 16, scale=7.0))
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_every_parameter_gets_finite_gradient(self, rng):
         model = _small_model()
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
-        i_en, _, _ = model.forward(img, _grid(rng, 4, 16, 16))
+        i_en, _ = model.forward(img, _grid(rng, 4, 16, 16))
         grads = T.backward(T.mean(T.mul(i_en, i_en)))
         for name, p in model.named_parameters():
             assert p in grads, name
@@ -215,13 +213,6 @@ class TestForwardValidation:
         with pytest.raises(ValueError, match="does not match"):
             model.forward(rng.uniform(0, 1, (16, 16, 3)), _grid(rng, 4, 16, 20))
 
-    def test_override_extent_mismatch(self, rng):
-        model = _small_model()
-        ones = np.ones((8, 8))
-        with pytest.raises(ValueError, match="SNR"):
-            model.forward(rng.uniform(0, 1, (16, 16, 3)),
-                          _grid(rng, 4, 16, 16), SnrMap(ones, ones, ones, 0.5))
-
     def test_non_rgb_rejected(self, rng):
         with pytest.raises(ValueError, match="H,W,3"):
             _small_model().forward(rng.uniform(0, 1, (16, 16)),
@@ -254,7 +245,7 @@ class TestEnhanceFile:
         write_events(stream, ev_path)
         model = EvLightModel(np.random.default_rng(0), bins=4)
         ckpt = str(tmp_path / "model.evlt")
-        model.save(ckpt)
+        save_checkpoint(model.state_arrays(), ckpt)
         return img_path, ev_path, ckpt, model, stream
 
     def test_pad_crop_round_trip(self, tmp_path, rng):
@@ -313,7 +304,7 @@ class TestEnhanceFile:
         ev_path = str(tmp_path / "e.evst")
         write_events(_stream(rng, 16, 16, 40), ev_path)
         ckpt = str(tmp_path / "m.evlt")
-        EvLightModel(np.random.default_rng(0), bins=4).save(ckpt)
+        save_checkpoint(EvLightModel(np.random.default_rng(0), bins=4).state_arrays(), ckpt)
         out = enhance_file(img_path, ev_path, ckpt, str(tmp_path / "o.pfm"),
                            bins=4)
         assert out.shape == (16, 16, 3)
@@ -324,7 +315,7 @@ class TestVoxelIntegration:
         model = _small_model()
         stream = _stream(rng, 16, 16, 200)
         grid = voxelize(stream, bins=4)
-        i_en, _, _ = model.forward(rng.uniform(0, 0.3, (16, 16, 3)), grid)
+        i_en, _ = model.forward(rng.uniform(0, 0.3, (16, 16, 3)), grid)
         assert np.all(np.isfinite(i_en.data))
 
 

@@ -220,6 +220,16 @@ class TestParseManifest:
             parse_manifest(str(man))
 
 
+    def test_bad_time_names_file_and_line(self, tmp_path):
+        man = tmp_path / "m.txt"
+        for rows, message in (("a\tb\tc\t0\t10\na\tb\tc\t0\tabc\n",
+                               "line 2: bad integer 'abc' for t1"),
+                              ("a\tb\tc\t1e3\t10\n", "line 1: bad integer '1e3' for t0")):
+            man.write_text(rows)
+            with pytest.raises(ValueError, match=re.escape(f"{man}: {message}")):
+                parse_manifest(str(man))
+
+
 class TestParseConfig:
     def test_types_and_lambda_alias(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
