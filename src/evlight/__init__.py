@@ -6,7 +6,7 @@ input, and a UNet-like network fuses image and event features under a
 signal-to-noise-ratio trust map. The hot kernels are plain numpy.
 """
 from ._kernels import BACKEND
-from .alignment import AlignReport, MatchResult, SequenceMeta, align_report, interval, match
+from .alignment import MatchResult, SequenceMeta, align_report, interval, match
 from .events import (EventFormatError, EventStream, VoxelGrid, read_events,
                      simulate_events, voxelize, write_events)
 from .image import (ImageFormatError, pad_reflect, psnr, psnr_star,
@@ -39,7 +39,6 @@ __all__ = [
     "charbonnier", "perceptual", "total_loss", "RandomConvFeatures",
     "Adam", "clip_grad_norm", "augment", "train",
     "TrainConfig", "SamplePair", "parse_manifest", "parse_config",
-    "SequenceMeta", "MatchResult", "AlignReport", "interval", "match",
-    "align_report",
+    "SequenceMeta", "MatchResult", "interval", "match", "align_report",
     "fixtures", "make_scene", "render_frame", "lowlight_of",
 ]

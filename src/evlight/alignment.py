@@ -18,7 +18,6 @@ class SequenceMeta:
     condition: str  # "low" or "normal"
     trajectory_start: int  # microseconds
     first_frame: int  # microseconds
-    frame_interval: int = 0  # microseconds
 
     def __post_init__(self):
         if self.condition not in ("low", "normal"):
@@ -73,16 +72,7 @@ def match(lows: list[SequenceMeta], normals: list[SequenceMeta]) -> MatchResult:
     return MatchResult(tuple(pairs), int(max_err), float(mean_err))
 
 
-@dataclass(frozen=True)
-class AlignReport:
-    fraction_below: float
-    threshold: int
-    max_error: int
-    mean_error: float
-
-
-def align_report(result: MatchResult, threshold: int = 10_000) -> AlignReport:
-    """Fraction of pairs with error below the threshold (microseconds)."""
+def align_report(result: MatchResult, threshold: int = 10_000) -> float:
+    """The fraction of pairs whose error is below ``threshold`` microseconds."""
     below = sum(1 for _, _, e in result.pairs if e < threshold)
-    return AlignReport(below / len(result.pairs), threshold,
-                       result.max_error, result.mean_error)
+    return below / len(result.pairs)

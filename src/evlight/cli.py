@@ -20,8 +20,7 @@ import numpy as np
 from . import alignment
 from .fixtures import fixtures as make_fixtures
 from . import tensor as T
-from .events import (_MAGIC as EVST_MAGIC, read_events, simulate_events,
-                     voxelize, write_events)
+from .events import read_events, simulate_events, voxelize, write_events
 from .image import as_rgb, psnr, psnr_star, read_image, ssim, write_image
 from .lightup import LightUpEstimator, light_up, snr_map, snr_pyramid
 from .model import enhance_file, load_model, load_sample, predict
@@ -29,9 +28,6 @@ from .training import TrainConfig, parse_config, parse_manifest, train
 
 log = logging.getLogger("evlight")
 
-# SNR-mask threshold for inference commands when --tau is not given; train
-# takes tau from --tau, then --config, then TrainConfig
-INFER_TAU = 0.5
 # seed of lightup and fixtures when --seed is not given; train takes its seed
 # from --seed, then --config, then TrainConfig
 DEFAULT_SEED = 0
@@ -74,11 +70,6 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_voxelize(args) -> int:
-    with open(args.events, "rb") as f:
-        if f.read(len(EVST_MAGIC)) != EVST_MAGIC:
-            raise ValueError(f"{args.events}: a CSV event file carries no sensor "
-                             "extent, so the grid size is unknown; voxelize "
-                             "needs an .evst file, which does")
     stream = read_events(args.events)
     grid = voxelize(stream, 32 if args.bins is None else args.bins,
                     args.t0, args.t1)
@@ -103,7 +94,7 @@ def _cmd_lightup(args) -> int:
     estimator = load_model(args.ckpt).estimator if args.ckpt else \
         LightUpEstimator(np.random.default_rng(args.seed))
     with T.no_grad():
-        i_lu, _ = light_up(T.Tensor(img), estimator)
+        i_lu = light_up(T.Tensor(img), estimator)
     write_image(args.out, np.clip(i_lu.data, 0.0, 1.0))
     print(f"wrote {args.out} mean {img.mean():.4f} -> {i_lu.data.mean():.4f}")
     return 0
@@ -121,14 +112,14 @@ def _cmd_snr_map(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
-    enhance_file(args.image, args.events, args.ckpt, args.out,
-                 bins=args.bins, tau=args.tau)
+    enhance_file(args.image, args.events, args.ckpt, args.out, tau=args.tau)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     cfg = _train_config(args)
+    _print_config(args, asdict(cfg))
     ckpt, curve = train(args.manifest, cfg, args.out_dir,
                         log=log.info if log.isEnabledFor(logging.INFO) else None)
     print(f"wrote {ckpt} and {curve}")
@@ -139,7 +130,7 @@ def _cmd_eval(args) -> int:
     pairs = parse_manifest(args.manifest)
     if not pairs:
         raise ValueError(f"{args.manifest}: manifest lists no sample pairs")
-    model = load_model(args.ckpt, args.bins, args.tau)
+    model = load_model(args.ckpt, args.tau)
     rows = []
     failed = False
     sums = np.zeros(3)
@@ -183,18 +174,17 @@ def _cmd_align_match(args) -> int:
                 raise ValueError(f"{args.meta}: line {reader.line_num} has too few fields")
             meta = alignment.SequenceMeta(
                 row["id"], row["condition"].strip(),
-                int(row["trajectory_start"]), int(row["first_frame"]),
-                int(row.get("frame_interval") or 0))
+                int(row["trajectory_start"]), int(row["first_frame"]))
             (lows if meta.condition == "low" else normals).append(meta)
     result = alignment.match(lows, normals)
-    report = alignment.align_report(result, args.threshold)
+    below = alignment.align_report(result, args.threshold)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["low", "normal", "abs_error_us"])
         for low_id, normal_id, err in result.pairs:
             writer.writerow([low_id, normal_id, err])
     print(f"wrote {args.out} max_error_us={result.max_error} "
-          f"fraction_below={report.fraction_below:.3f}")
+          f"fraction_below={below:.3f}")
     return 0
 
 
@@ -221,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     config = _flag("--config", default=None, help="flat key = value file")
     seed = _flag("--seed", type=int, default=None)
     bins = _flag("--bins", type=int, default=None)
-    tau = _flag("--tau", type=float, default=None,
-                help=f"SNR-mask threshold (inference default {INFER_TAU})")
+    tau = _flag("--tau", type=float, default=0.5, help="SNR-mask threshold")
     crop = _flag("--crop", type=int, default=None)
     lam = _flag("--lambda", dest="lam", type=float, default=None)
 
@@ -264,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-binary", required=True)
     p.set_defaults(func=_cmd_snr_map)
 
-    p = sub.add_parser("enhance", parents=[bins, tau],
+    p = sub.add_parser("enhance", parents=[tau],
                        help="enhance one image with its event file")
     p.add_argument("--image", required=True)
     p.add_argument("--events", required=True)
@@ -272,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_enhance)
 
-    p = sub.add_parser("train", parents=[config, seed, bins, tau, crop, lam],
+    p = sub.add_parser("train", parents=[config, seed, bins, crop, lam],
                        help="run the training loop")
+    p.add_argument("--tau", type=float, default=None, help="SNR-mask threshold")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--lr", type=float, default=None)
@@ -282,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[bins, tau],
+    p = sub.add_parser("eval", parents=[tau],
                        help="score a checkpoint over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--ckpt", required=True)
@@ -310,8 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "train" and "tau" in args and args.tau is None:
-        args.tau = INFER_TAU
     if args.command == "lightup" and args.ckpt:
         # every estimator weight comes from the checkpoint: no seed is used
         if args.seed is not None:
@@ -319,11 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command != "train" and "seed" in args and args.seed is None:
         args.seed = DEFAULT_SEED
     try:
-        resolved = asdict(_train_config(args)) if args.command == "train" else None
-        _print_config(args, resolved)
+        if args.command != "train":  # train echoes the config it resolves
+            _print_config(args)
         return args.func(args)
     except (OSError, ValueError, T.NonFiniteError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

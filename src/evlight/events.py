@@ -183,8 +183,7 @@ def _read_events_binary(buf: bytes, path: str) -> EventStream:
     return _finish_stream(width, height, rec["t"].astype(np.int64), x, y, p)
 
 
-def _read_events_csv(text: str, path: str,
-                     width: int | None, height: int | None) -> EventStream:
+def _read_events_csv(text: str, path: str, width: int, height: int) -> EventStream:
     rows = []
     lines = text.splitlines(keepends=True)
     # offsets[n-1] is where line n starts; ASCII, so characters are bytes
@@ -204,15 +203,14 @@ def _read_events_csv(text: str, path: str,
             raise EventFormatError(f"{path}: line {ln}: {exc}", offsets[ln - 1]) from None
     arr = np.asarray(rows, dtype=np.int64).reshape(-1, 5)
     lns, t, x, y, p = arr.T
-    w = width if width is not None else int(x.max(initial=0)) + 1
-    h = height if height is not None else int(y.max(initial=0)) + 1
-    for name, vals, limit in (("x", x, w), ("y", y, h)):
+    for name, vals, limit in (("x", x, width), ("y", y, height)):
         bad = np.nonzero((vals < 0) | (vals >= limit))[0]
         if bad.size:
             ln = int(lns[bad[0]])
             raise EventFormatError(f"{path}: line {ln}: {name}={int(vals[bad[0]])} "
-                                   f"out of bounds (sensor {w}x{h})", offsets[ln - 1])
-    return _finish_stream(w, h, t, x, y, p)
+                                   f"out of bounds (sensor {width}x{height})",
+                                   offsets[ln - 1])
+    return _finish_stream(width, height, t, x, y, p)
 
 
 def read_events(path: str, width: int | None = None,
@@ -220,7 +218,7 @@ def read_events(path: str, width: int | None = None,
     """Read an ``EVST`` binary file, or CSV when the magic is absent.
 
     An EVST file carries its sensor extent. A CSV file does not: it takes
-    ``width`` and ``height`` when given, else one past its largest x and y.
+    ``width`` and ``height``, and is rejected without them.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -231,6 +229,10 @@ def read_events(path: str, width: int | None = None,
     except UnicodeDecodeError as exc:
         raise EventFormatError(f"{path}: neither EVST magic nor ASCII CSV",
                                exc.start) from None
+    if width is None or height is None:
+        raise EventFormatError(f"{path}: a CSV event file carries no sensor "
+                               "extent; give its width and height, or use an "
+                               ".evst file, which carries one", 0)
     return _read_events_csv(text, str(path), width, height)
 
 

@@ -191,50 +191,40 @@ def read_image(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         buf = f.read()
     magic = buf[:2]
+    if magic not in (b"P6", b"P5", b"PF", b"Pf"):
+        raise ImageFormatError(f"{path}: unknown magic {magic!r}", 0)
+    # one header layout for all four: width, height, then maxval or scale
+    wtok, pos = _next_token(buf, 2, path)
+    w = _parse_dim(wtok, pos, path, "width")
+    htok, pos = _next_token(buf, pos, path)
+    h = _parse_dim(htok, pos, path, "height")
+    tok, pos = _next_token(buf, pos, path)
     if magic in (b"P6", b"P5"):
-        pos = 2
-        wtok, pos = _next_token(buf, pos, path)
-        w = _parse_dim(wtok, pos, path, "width")
-        htok, pos = _next_token(buf, pos, path)
-        h = _parse_dim(htok, pos, path, "height")
-        mtok, pos = _next_token(buf, pos, path)
-        if mtok != b"255":
-            raise ImageFormatError(f"{path}: unsupported maxval {mtok!r}", pos)
-        pos += 1  # single whitespace after maxval
-        c = 3 if magic == b"P6" else 1
-        need = w * h * c
-        raw = buf[pos:pos + need]
-        if len(raw) != need:
-            raise ImageFormatError(f"{path}: pixel data truncated "
-                                   f"({len(raw)} of {need} bytes)", pos + len(raw))
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, c)
-        return arr.astype(np.float64) / 255.0
-    if magic in (b"PF", b"Pf"):
-        pos = 2
-        wtok, pos = _next_token(buf, pos, path)
-        w = _parse_dim(wtok, pos, path, "width")
-        htok, pos = _next_token(buf, pos, path)
-        h = _parse_dim(htok, pos, path, "height")
-        stok, pos = _next_token(buf, pos, path)
+        if tok != b"255":
+            raise ImageFormatError(f"{path}: unsupported maxval {tok!r}", pos)
+        dtype = np.dtype(np.uint8)
+    else:
         try:
-            scale = float(stok)
+            scale = float(tok)
         except ValueError:
-            raise ImageFormatError(f"{path}: bad scale {stok!r}", pos) from None
+            raise ImageFormatError(f"{path}: bad scale {tok!r}", pos) from None
         if scale == 0:
             raise ImageFormatError(f"{path}: zero scale", pos)
-        pos += 1
-        c = 3 if magic == b"PF" else 1
-        need = w * h * c * 4
-        raw = buf[pos:pos + need]
-        if len(raw) != need:
-            raise ImageFormatError(f"{path}: pixel data truncated "
-                                   f"({len(raw)} of {need} bytes)", pos + len(raw))
-        arr = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise ImageFormatError(f"{path}: non-finite pixel value", pos + 4 * int(bad[0]))
-        return np.ascontiguousarray(arr.reshape(h, w, c)[::-1].astype(np.float64))
-    raise ImageFormatError(f"{path}: unknown magic {magic!r}", 0)
+        dtype = np.dtype("<f4" if scale < 0 else ">f4")
+    pos += 1  # a single whitespace byte ends the header
+    c = 3 if magic in (b"P6", b"PF") else 1
+    need = w * h * c * dtype.itemsize
+    raw = buf[pos:pos + need]
+    if len(raw) != need:
+        raise ImageFormatError(f"{path}: pixel data truncated "
+                               f"({len(raw)} of {need} bytes)", pos + len(raw))
+    arr = np.frombuffer(raw, dtype=dtype)
+    if dtype == np.uint8:
+        return arr.reshape(h, w, c).astype(np.float64) / 255.0
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ImageFormatError(f"{path}: non-finite pixel value", pos + 4 * int(bad[0]))
+    return np.ascontiguousarray(arr.reshape(h, w, c)[::-1].astype(np.float64))
 
 
 def pad_reflect(img: np.ndarray, multiple: int) -> tuple[np.ndarray, int, int]:

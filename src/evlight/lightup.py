@@ -44,18 +44,19 @@ class LightUpEstimator(Module):
         return self.conv_out.forward(self.dw.forward(self.conv_in.forward(cat)))
 
 
-def light_up(img: T.Tensor, estimator: LightUpEstimator) -> tuple[T.Tensor, T.Tensor]:
-    """Return (I_lu, L) with I_lu = I * L, unclamped, gradient through L."""
-    ell = estimator.forward(img)
-    return T.mul(img, ell), ell
+def light_up(img: T.Tensor, estimator: LightUpEstimator) -> T.Tensor:
+    """I_lu = I * L with L = ``estimator.forward(img)``; unclamped, gradient
+    through L."""
+    return T.mul(img, estimator.forward(img))
 
 
 def snr_map(i_lu: np.ndarray, kernel: int = 5) -> np.ndarray:
     """Score pixels by denoised signal over residual noise magnitude; [H,W].
 
     raw = mean_filter(I_g) / max(|I_g - mean_filter(I_g)|, 1e-4), and the
-    map is norm = raw / max(raw), all ones when raw is flat zero. Operates
-    on plain arrays: the map is a constant downstream, never a gradient path.
+    map is norm = raw / max(raw), all ones when raw is flat zero; raises
+    NonFiniteError when an overflow leaves NaN/Inf in it. Operates on plain
+    arrays: the map is a constant downstream, never a gradient path.
     """
     if kernel < 3 or kernel % 2 == 0:
         raise ValueError("kernel must be odd and >= 3")
@@ -63,7 +64,10 @@ def snr_map(i_lu: np.ndarray, kernel: int = 5) -> np.ndarray:
     smooth = _k.box_filter(np.ascontiguousarray(gray), kernel)
     raw = smooth / np.maximum(np.abs(gray - smooth), 1e-4)
     mx = raw.max() if raw.size else 0.0
-    return raw / mx if mx > 0 else np.ones_like(raw)
+    norm = raw / mx if mx > 0 else np.ones_like(raw)
+    if not np.isfinite(norm).all():
+        raise T.NonFiniteError("snr_map produced non-finite values")
+    return norm
 
 
 def _pool2(a: np.ndarray) -> np.ndarray:

@@ -44,8 +44,6 @@ class EvLightModel(Module):
     def __init__(self, rng: np.random.Generator, base_channels: int = 16,
                  heads: int = 2, bins: int = 32, tau: float = 0.5):
         c = base_channels
-        self.base_channels = c
-        self.heads = heads
         self.bins = bins
         self.tau = tau
 
@@ -79,8 +77,8 @@ class EvLightModel(Module):
         denom = q if q > 1e-8 else 1.0
         return np.ascontiguousarray(grid.data.transpose(1, 2, 0)) / denom
 
-    def forward(self, img: np.ndarray, grid: VoxelGrid) -> tuple[T.Tensor, T.Tensor]:
-        """(I_en, I_lu) for an [H,W,3] image and its voxel grid.
+    def forward(self, img: np.ndarray, grid: VoxelGrid) -> T.Tensor:
+        """I_en for an [H,W,3] image and its voxel grid.
 
         With two cores (``T.cores() >= 2``), one worker thread makes the
         regional (IRFS, ERFS) pairs, deepest scale first, and this thread
@@ -88,7 +86,9 @@ class EvLightModel(Module):
         that scale's pair is not ready; the worker is always joined and its
         failure re-raised here. With one core, this thread makes each pair
         when the decoder asks for it. Each activation is dropped after its
-        last use, so under ``no_grad`` it is freed there.
+        last use, so under ``no_grad`` it is freed there. numpy's
+        floating-point warnings are off throughout, since each op's result,
+        the SNR map and the normalized grid are checked for NaN/Inf instead.
         """
         img = np.asarray(img, dtype=np.float64)
         if img.ndim != 3 or img.shape[2] != 3:
@@ -104,33 +104,33 @@ class EvLightModel(Module):
             raise ValueError(f"grid extent {grid.height}x{grid.width} does not "
                              f"match image {h}x{w}")
 
-        i_lu, _ell = light_up(T.Tensor(img), self.estimator)
-        masks = snr_pyramid(snr_map(i_lu.data), self.tau)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            i_lu = light_up(T.Tensor(img), self.estimator)
+            masks = snr_pyramid(snr_map(i_lu.data), self.tau)
 
-        f_img = self.img_stem.forward(i_lu)
-        f_ev = self.ev_stem.forward(T.Tensor(self.normalize_grid(grid)))
-        regional = self._regional(f_img, f_ev, masks)
-        if T.cores() >= 2:
-            made = queue.SimpleQueue()
-            worker, take = [(regional, made)], functools.partial(_take, made)
-        else:
-            worker, take = [], regional.__next__
-        with T.beside(_feed, worker):
-            # holistic trunk; events enter only where the image is untrusted
-            ev_gated = T.mul(f_ev, T.Tensor(1.0 - masks[0][:, :, None]))
-            x = self.fuse.forward(T.concat([f_img, ev_gated]))
-            del f_img, f_ev, ev_gated, regional
-            x = self.enc_hfe[0].forward(x)
-            x = self.enc_hfe[1].forward(self.enc_down[0].forward(x))
-            x = self.bottleneck.forward(self.enc_down[1].forward(x))
-            # decoder: fuse each scale's regional pair, deepest first
-            for s in (2, 1, 0):
-                x = self.hrf[s].forward(*take(), x)
-                if s:
-                    x = self.up[2 - s].forward(self.dec_hfe[2 - s].forward(x))
+            f_img = self.img_stem.forward(i_lu)
+            f_ev = self.ev_stem.forward(T.Tensor(self.normalize_grid(grid)))
+            regional = self._regional(f_img, f_ev, masks)
+            if T.cores() >= 2:
+                made = queue.SimpleQueue()
+                worker, take = [(regional, made)], functools.partial(_take, made)
+            else:
+                worker, take = [], regional.__next__
+            with T.beside(_feed, worker):
+                # holistic trunk; events enter only where the image is untrusted
+                ev_gated = T.mul(f_ev, T.Tensor(1.0 - masks[0][:, :, None]))
+                x = self.fuse.forward(T.concat([f_img, ev_gated]))
+                del f_img, f_ev, ev_gated, regional
+                x = self.enc_hfe[0].forward(x)
+                x = self.enc_hfe[1].forward(self.enc_down[0].forward(x))
+                x = self.bottleneck.forward(self.enc_down[1].forward(x))
+                # decoder: fuse each scale's regional pair, deepest first
+                for s in (2, 1, 0):
+                    x = self.hrf[s].forward(*take(), x)
+                    if s:
+                        x = self.up[2 - s].forward(self.dec_hfe[2 - s].forward(x))
 
-        i_en = T.add(self.head.forward(x), i_lu)
-        return i_en, i_lu
+            return T.add(self.head.forward(x), i_lu)
 
     def _regional(self, f_img: T.Tensor, f_ev: T.Tensor, masks: list[np.ndarray]
                   ) -> Iterator[tuple[T.Tensor, T.Tensor]]:
@@ -194,22 +194,17 @@ def predict(model: EvLightModel, img: np.ndarray, grid: VoxelGrid) -> np.ndarray
         gdata = np.pad(gdata, ((0, 0), (0, ph), (0, pw)), mode="reflect")
     pgrid = VoxelGrid(gdata, grid.bins, padded.shape[1], padded.shape[0])
     with T.no_grad():
-        i_en, _ = model.forward(padded, pgrid)
+        i_en = model.forward(padded, pgrid)
     return np.clip(i_en.data[:h, :w, :], 0.0, 1.0)
 
 
-def load_model(ckpt_path: str, bins: int | None = None,
-               tau: float = 0.5) -> EvLightModel:
-    """The model a checkpoint holds; width, heads and bins come from its shapes.
-
-    ``bins`` is only a cross-check against the checkpoint.
-    """
+def load_model(ckpt_path: str, tau: float = 0.5) -> EvLightModel:
+    """The model a checkpoint holds; width, heads and bins come from its shapes,
+    so the checkpoint alone fixes the event grid's bin count."""
     state = load_checkpoint(ckpt_path)
-    base_channels, heads, ck_bins = infer_architecture(state)
-    if bins is not None and bins != ck_bins:
-        raise ValueError(f"checkpoint was trained with {ck_bins} bins, not {bins}")
+    base_channels, heads, bins = infer_architecture(state)
     model = EvLightModel(np.random.default_rng(0), base_channels=base_channels,
-                         heads=heads, bins=ck_bins, tau=tau)
+                         heads=heads, bins=bins, tau=tau)
     model.load_state(state)
     return model
 
@@ -231,10 +226,9 @@ def load_sample(img_path: str, event_path: str, bins: int,
 
 
 def enhance_file(img_path: str, event_path: str, ckpt_path: str,
-                 out_path: str, bins: int | None = None,
-                 tau: float = 0.5) -> np.ndarray:
+                 out_path: str, tau: float = 0.5) -> np.ndarray:
     """Enhance one image file with its whole event file; writes ``out_path``."""
-    model = load_model(ckpt_path, bins, tau)
+    model = load_model(ckpt_path, tau)
     out = predict(model, *load_sample(img_path, event_path, model.bins))
     write_image(out_path, out)
     return out

@@ -39,9 +39,7 @@ class Module:
                 yield from val.named_parameters(f"{path}.")
             elif isinstance(val, (list, tuple)):
                 for i, item in enumerate(val):
-                    if isinstance(item, Parameter):
-                        yield f"{path}.{i}", item
-                    elif isinstance(item, Module):
+                    if isinstance(item, Module):
                         yield from item.named_parameters(f"{path}.{i}.")
 
     def parameters(self) -> list[Parameter]:

@@ -18,8 +18,8 @@ per thread, so one thread can infer while another records a graph.
 
 :func:`beside` is the one way the package starts threads: it runs calls on
 threads of their own beside the calling thread, splits the caller's
-:func:`cores` between them and carries the caller's ``no_grad`` scope into
-each. numpy releases the GIL in its GEMMs, so the threads run side by side.
+:func:`cores` between them and carries the caller's ``no_grad`` scope and
+numpy ``errstate`` into each. numpy releases the GIL in its GEMMs, so the threads run side by side.
 
 :func:`backward` returns the leaf gradients as a dict and keeps them nowhere
 else, so threads can run backward over graphs that share parameters. It
@@ -161,19 +161,20 @@ def beside(fn: Callable, items: Sequence) -> Iterator[list]:
 
     The body and the threads split this thread's :func:`cores` evenly (at
     least one each), and each thread runs in this thread's ``no_grad``
-    state. Every thread is joined on exit, also when the body raises; a
-    failure is re-raised here with its own type, the body's first, then the
-    threads' in item order.
+    state and numpy ``errstate``. Every thread is joined on exit, also when
+    the body raises; a failure is re-raised here with its own type, the
+    body's first, then the threads' in item order.
     """
     share = max(1, cores() // (len(items) + 1))
-    grad_enabled = _state.grad_enabled
+    grad_enabled, fp_errors = _state.grad_enabled, np.geterr()
     results: list = [None] * len(items)
     errors: list = [None] * len(items)
 
     def run(i, item):
         _state.cores, _state.grad_enabled = share, grad_enabled
         try:
-            results[i] = fn(item)
+            with np.errstate(**fp_errors):
+                results[i] = fn(item)
         except BaseException as exc:  # re-raised below, in the calling thread
             errors[i] = exc
 

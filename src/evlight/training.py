@@ -317,7 +317,7 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     def sample_grads(sample):
         """One sample's leaf gradients and (loss, charbonnier, perceptual)."""
         low_a, grid_a, gt_a = sample
-        i_en, _ = model.forward(low_a, grid_a)
+        i_en = model.forward(low_a, grid_a)
         loss, ch, pe = total_loss(i_en, gt_a, config.lam, phi)
         return T.backward(loss), (loss.item(), ch, pe)
 

@@ -2,10 +2,13 @@
 import filecmp
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import evlight
 from evlight.cli import DEFAULT_SEED, main
 from evlight.events import (EventStream, read_events, simulate_events, voxelize,
                             write_events)
@@ -131,7 +134,7 @@ class TestLightupAndSnr:
         out = str(tmp_path / "lu.pfm")
         assert main(["lightup", "--image", low_path, "--ckpt", ckpt,
                      "--out", out]) == 0
-        i_lu, _ = light_up(Tensor(read_image(low_path)), model.estimator)
+        i_lu = light_up(Tensor(read_image(low_path)), model.estimator)
         want = np.clip(i_lu.data, 0.0, 1.0).astype(np.float32)
         assert np.array_equal(read_image(out), want.astype(np.float64))
 
@@ -226,6 +229,22 @@ class TestEnhance:
         assert re.search(r"error: \w+ produced non-finite values",
                          capsys.readouterr().err)
         assert not out.exists()
+
+    def test_overflow_writes_one_stderr_line(self, tmp_path, rng):
+        # in a child process: in-process, pytest's own logging handler and
+        # warning capture would hide a second line
+        low_path, ev_path = _write_scene(tmp_path, rng)
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt, fill=1e200)
+        env = {k: v for k, v in os.environ.items() if k != "EVLIGHT_LOG"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(evlight.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "evlight.cli", "enhance", "--image", low_path,
+             "--events", ev_path, "--ckpt", ckpt,
+             "--out", str(tmp_path / "en.pfm")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: dwconv2d produced non-finite values\n"
 
     def test_csv_events_equal_evst_events(self, tmp_path, rng):
         # a CSV file has no sensor header, and these events stop short of
@@ -536,6 +555,10 @@ class TestParser:
          "--lambda", "3"],
         ["snr-map", "--image", "i.ppm", "--out-norm", "n.pfm",
          "--out-binary", "b.pgm", "--seed", "9"],
+        ["enhance", "--image", "i.ppm", "--events", "e.evst", "--ckpt", "m.evlt",
+         "--out", "o.ppm", "--bins", "4"],
+        ["eval", "--manifest", "m.txt", "--ckpt", "m.evlt", "--out", "s.csv",
+         "--bins", "4"],
     ])
     def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
 """Event streams: voxelization, IO round-trips, simulator."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,7 +190,17 @@ class TestEventIO:
         p = tmp_path / "e.csv"
         p.write_text("t,x,y,p\n1,2,3,1\n4,5\n")
         with pytest.raises(EventFormatError, match="line 3"):
-            read_events(str(p))
+            read_events(str(p), width=8, height=8)
+
+    @pytest.mark.parametrize("extent", [{}, {"width": 8}, {"height": 8}])
+    def test_csv_without_an_extent_rejected(self, tmp_path, extent):
+        # a sensor sized from the largest x and y would be 3x4 here
+        p = tmp_path / "e.csv"
+        p.write_text("t,x,y,p\n1,2,3,1\n")
+        with pytest.raises(EventFormatError,
+                           match=f"{re.escape(str(p))}: a CSV event file carries "
+                                 "no sensor extent"):
+            read_events(str(p), **extent)
 
     @pytest.mark.parametrize("row,bad", [("9,4,1,1", "x=4"), ("9,1,-1,1", "y=-1")])
     def test_csv_event_outside_the_sensor_names_its_line(self, tmp_path, row, bad):

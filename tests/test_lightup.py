@@ -37,7 +37,8 @@ class TestLightUp:
             p.data = np.zeros_like(p.data)
         est.conv_out.bias.data = np.ones(3)
         img = T.Tensor(np.random.default_rng(0).uniform(0, 1, (6, 6, 3)))
-        i_lu, ell = light_up(img, est)
+        ell = est.forward(img)
+        i_lu = light_up(img, est)
         assert np.array_equal(ell.data, np.ones((6, 6, 3)))
         assert np.array_equal(i_lu.data, img.data)
 
@@ -47,13 +48,13 @@ class TestLightUp:
             p.data = np.zeros_like(p.data)
         est.conv_out.bias.data = np.full(3, 2.0)
         img = T.Tensor(np.random.default_rng(0).uniform(0, 0.5, (4, 4, 3)))
-        i_lu, _ = light_up(img, est)
+        i_lu = light_up(img, est)
         assert np.array_equal(i_lu.data, 2.0 * img.data)
 
     def test_fresh_estimator_starts_near_identity(self, rng):
         est = LightUpEstimator(rng)
         img = T.Tensor(np.random.default_rng(1).uniform(0, 0.3, (8, 8, 3)))
-        _, ell = light_up(img, est)
+        ell = est.forward(img)
         assert np.all(np.abs(ell.data - 1.0) < 1.0)
 
     def test_gradient_through_estimator(self, rng):
@@ -62,7 +63,7 @@ class TestLightUp:
         leaves = est.parameters()
 
         def build(*_):
-            i_lu, _ = light_up(img, est)
+            i_lu = light_up(img, est)
             return T.mean(T.mul(i_lu, i_lu))
 
         fd_gradcheck(build, leaves)
@@ -97,6 +98,13 @@ class TestSnrMap:
     def test_tau_zero_all_ones(self, rng):
         img = rng.uniform(0, 1, (8, 8, 3))
         assert np.all(snr_pyramid(snr_map(img), 0.0, levels=1)[0] == 1.0)
+
+    def test_overflow_raises_instead_of_a_nan_map(self):
+        # smooth / 1e-4 overflows on a flat 1e305 image; a NaN map would
+        # binarize to all zeros without a word
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(T.NonFiniteError, match="snr_map"):
+                snr_map(np.full((8, 8, 3), 1e305))
 
     def test_tau_above_one_rejected(self):
         with pytest.raises(ValueError):
@@ -142,7 +150,7 @@ class TestSnrMap:
     def test_gradient_isolated(self, rng):
         img = T.Tensor(rng.uniform(0.05, 0.3, (8, 8, 3)))
         est = LightUpEstimator(rng)
-        i_lu, _ = light_up(img, est)
+        i_lu = light_up(img, est)
         norm = snr_map(i_lu.data)
         assert type(norm) is np.ndarray
         # neither the map nor its masks hold graph state

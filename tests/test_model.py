@@ -37,15 +37,15 @@ class TestForward:
     def test_output_shapes_and_finiteness(self, rng):
         model = _small_model()
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
-        i_en, i_lu = model.forward(img, _grid(rng, 4, 16, 16))
+        i_en = model.forward(img, _grid(rng, 4, 16, 16))
         assert i_en.shape == (16, 16, 3)
-        assert i_lu.shape == (16, 16, 3)
         assert np.all(np.isfinite(i_en.data))
 
     def test_head_zero_makes_enhanced_equal_lightup(self, rng):
         model = _small_model()
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
-        i_en, i_lu = model.forward(img, _grid(rng, 4, 16, 16))
+        i_en = model.forward(img, _grid(rng, 4, 16, 16))
+        i_lu = light_up(T.Tensor(img), model.estimator)
         assert np.array_equal(i_en.data, i_lu.data)
 
     def test_event_invariance_where_snr_trusts_image(self, rng):
@@ -54,14 +54,14 @@ class TestForward:
         for p in model.parameters():
             p.data = rng.standard_normal(p.data.shape) * 0.1
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
-        out_a, _ = model.forward(img, _grid(rng, 4, 16, 16))
-        out_b, _ = model.forward(img, _grid(rng, 4, 16, 16, scale=7.0))
+        out_a = model.forward(img, _grid(rng, 4, 16, 16))
+        out_b = model.forward(img, _grid(rng, 4, 16, 16, scale=7.0))
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_every_parameter_gets_finite_gradient(self, rng):
         model = _small_model()
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
-        i_en, _ = model.forward(img, _grid(rng, 4, 16, 16))
+        i_en = model.forward(img, _grid(rng, 4, 16, 16))
         grads = T.backward(T.mean(T.mul(i_en, i_en)))
         for name, p in model.named_parameters():
             assert p in grads, name
@@ -78,8 +78,8 @@ class TestForward:
         model = _small_model()
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
         grid = _grid(rng, 4, 16, 16)
-        out1 = model.forward(img, grid)[0].data
-        out2 = model.forward(img, grid)[0].data
+        out1 = model.forward(img, grid).data
+        out2 = model.forward(img, grid).data
         assert np.array_equal(out1, out2)
 
     @pytest.mark.parametrize("cores", [1, 2])
@@ -92,7 +92,7 @@ class TestForward:
             p.data = rng.standard_normal(p.data.shape) * 0.1
         img = rng.uniform(0.0, 0.3, (16, 16, 3))
         grid = _grid(rng, 4, 16, 16)
-        ref = model.forward(img, grid)[0].data
+        ref = model.forward(img, grid).data
         made = []
         real = T._result
 
@@ -102,7 +102,7 @@ class TestForward:
 
         monkeypatch.setattr(T, "_result", spy)
         with T.no_grad():
-            out = model.forward(img, grid)[0]
+            out = model.forward(img, grid)
         assert np.array_equal(out.data, ref)
         assert made
         for t in made:
@@ -251,7 +251,7 @@ class TestEnhanceFile:
     def test_pad_crop_round_trip(self, tmp_path, rng):
         img_path, ev_path, ckpt, _, _ = self._setup(tmp_path, rng)
         out_path = str(tmp_path / "out.pfm")
-        out = enhance_file(img_path, ev_path, ckpt, out_path, bins=4)
+        out = enhance_file(img_path, ev_path, ckpt, out_path)
         assert out.shape == (15, 18, 3)
         assert out.min() >= 0.0 and out.max() <= 1.0
         again = read_image(out_path)
@@ -259,11 +259,10 @@ class TestEnhanceFile:
 
     def test_zero_head_enhance_is_clamped_lightup(self, tmp_path, rng):
         img_path, ev_path, ckpt, model, stream = self._setup(tmp_path, rng)
-        out = enhance_file(img_path, ev_path, ckpt, str(tmp_path / "o.pfm"),
-                           bins=4)
+        out = enhance_file(img_path, ev_path, ckpt, str(tmp_path / "o.pfm"))
         # the estimator runs on the padded frame, so crop after the fact
         padded, h, w = pad_reflect(read_image(img_path), 4)
-        i_lu, _ = light_up(T.Tensor(padded), model.estimator)
+        i_lu = light_up(T.Tensor(padded), model.estimator)
         assert np.array_equal(out, np.clip(i_lu.data[:h, :w, :], 0.0, 1.0))
 
     def test_sensor_extent_mismatch(self, tmp_path, rng):
@@ -271,21 +270,14 @@ class TestEnhanceFile:
         bad = str(tmp_path / "bad.evst")
         write_events(_stream(rng, 7, 7, 10), bad)
         with pytest.raises(ValueError, match="sensor"):
-            enhance_file(img_path, bad, ckpt, str(tmp_path / "o.pfm"), bins=4)
+            enhance_file(img_path, bad, ckpt, str(tmp_path / "o.pfm"))
 
     def test_corrupt_checkpoint(self, tmp_path, rng):
         img_path, ev_path, _, _, _ = self._setup(tmp_path, rng)
         bad = tmp_path / "bad.evlt"
         bad.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(CheckpointError):
-            enhance_file(img_path, ev_path, str(bad), str(tmp_path / "o.pfm"),
-                         bins=4)
-
-    def test_bins_cross_check(self, tmp_path, rng):
-        img_path, ev_path, ckpt, _, _ = self._setup(tmp_path, rng)
-        with pytest.raises(ValueError, match="trained with 4 bins"):
-            enhance_file(img_path, ev_path, ckpt, str(tmp_path / "o.pfm"),
-                         bins=8)
+            enhance_file(img_path, ev_path, str(bad), str(tmp_path / "o.pfm"))
 
     def test_architecture_inferred_from_checkpoint(self, tmp_path, rng):
         model = EvLightModel(np.random.default_rng(2), base_channels=4,
@@ -305,8 +297,7 @@ class TestEnhanceFile:
         write_events(_stream(rng, 16, 16, 40), ev_path)
         ckpt = str(tmp_path / "m.evlt")
         save_checkpoint(EvLightModel(np.random.default_rng(0), bins=4).state_arrays(), ckpt)
-        out = enhance_file(img_path, ev_path, ckpt, str(tmp_path / "o.pfm"),
-                           bins=4)
+        out = enhance_file(img_path, ev_path, ckpt, str(tmp_path / "o.pfm"))
         assert out.shape == (16, 16, 3)
 
 
@@ -315,7 +306,7 @@ class TestVoxelIntegration:
         model = _small_model()
         stream = _stream(rng, 16, 16, 200)
         grid = voxelize(stream, bins=4)
-        i_en, _ = model.forward(rng.uniform(0, 0.3, (16, 16, 3)), grid)
+        i_en = model.forward(rng.uniform(0, 0.3, (16, 16, 3)), grid)
         assert np.all(np.isfinite(i_en.data))
 
 

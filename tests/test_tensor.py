@@ -597,3 +597,17 @@ class TestNoGrad:
             with pytest.raises(NonFiniteError):
                 T.mul(x, 10.0)
         assert T.mul(x, 1.0).requires_grad
+
+    def test_beside_carries_no_grad_and_errstate_into_its_threads(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+
+        def probe(_):
+            return T.mul(x, 2.0).requires_grad, np.geterr()["over"]
+
+        with T.no_grad(), np.errstate(over="ignore"):
+            with T.beside(probe, [0, 1]) as seen:
+                pass
+        assert seen == [(False, "ignore")] * 2
+        with T.beside(probe, [0]) as seen:
+            pass
+        assert seen == [(True, np.geterr()["over"])]

@@ -356,7 +356,7 @@ class TestTrainLoop:
         def spy(self, *args, **kwargs):
             alive_at_forward.append(sum(r() is not None for r in outputs))
             result = forward(self, *args, **kwargs)
-            outputs.append(weakref.ref(result[0].data))
+            outputs.append(weakref.ref(result.data))
             return result
 
         monkeypatch.setattr(training.EvLightModel, "forward", spy)
