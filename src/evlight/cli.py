@@ -52,9 +52,7 @@ def _print_config(args: argparse.Namespace, resolved: dict | None = None) -> Non
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    cfg = TrainConfig()
-    if args.config:
-        cfg = parse_config(args.config, cfg)
+    cfg = parse_config(args.config) if args.config else TrainConfig()
     overrides = {}
     for key, attr in (("lr", "lr"), ("epochs", "epochs"), ("steps", "steps"),
                       ("batch", "batch"), ("crop", "crop"), ("lam", "lam"),
@@ -71,11 +69,11 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 def _cmd_voxelize(args) -> int:
     stream = read_events(args.events)
-    grid = voxelize(stream, 32 if args.bins is None else args.bins,
-                    args.t0, args.t1)
+    bins = 32 if args.bins is None else args.bins
+    grid = voxelize(stream, bins, args.t0, args.t1)
     np.save(args.out, grid.data)
     log.info("voxelized %d events into %d bins, mass %.6f",
-             len(stream), grid.bins, grid.total_mass())
+             len(stream), bins, grid.total_mass())
     print(f"wrote {args.out} mass={grid.total_mass():.6f}")
     return 0
 
@@ -128,8 +126,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     pairs = parse_manifest(args.manifest)
-    if not pairs:
-        raise ValueError(f"{args.manifest}: manifest lists no sample pairs")
     model = load_model(args.ckpt, args.tau)
     rows = []
     failed = False

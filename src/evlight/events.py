@@ -72,19 +72,11 @@ class EventStream:
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Polarity mass accumulated into ``bins`` temporal slices."""
+    """Polarity mass accumulated into temporal slices: ``data`` is a float64
+    [bins,H,W] array. ``model.load_sample`` hands the network its [H,W,bins]
+    transpose."""
 
     data: np.ndarray
-    bins: int
-    width: int
-    height: int
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(self.data, dtype=np.float64)
-        if d.shape != (self.bins, self.height, self.width):
-            raise ValueError(f"grid shape {d.shape} does not match "
-                             f"({self.bins},{self.height},{self.width})")
-        object.__setattr__(self, "data", d)
 
     def total_mass(self) -> float:
         return float(self.data.sum())
@@ -114,8 +106,7 @@ def voxelize(stream: EventStream, bins: int = 32,
             _k.voxel_deposit(grid, tstar, stream.x[keep], stream.y[keep],
                              stream.p[keep].astype(np.float64), bins,
                              stream.height, stream.width)
-    return VoxelGrid(grid.reshape(bins, stream.height, stream.width),
-                     bins, stream.width, stream.height)
+    return VoxelGrid(grid.reshape(bins, stream.height, stream.width))
 
 
 # ---------------------------------------------------------------------------

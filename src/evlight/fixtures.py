@@ -16,6 +16,7 @@ from .events import simulate_events, write_events
 from .image import write_image
 
 WINDOW_US = 100_000
+THETA = 0.15  # contrast threshold of the simulated events
 ND_SCALE = 0.125
 NOISE_SIGMA = 0.02
 
@@ -61,8 +62,7 @@ def lowlight_of(frame: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.clip(noisy, 0.0, 1.0)
 
 
-def fixtures(out_dir: str, seed: int, count: int = 2, size: int = 64,
-             theta: float = 0.15) -> str:
+def fixtures(out_dir: str, seed: int, count: int = 2, size: int = 64) -> str:
     """Write ``count`` scenes plus a manifest; returns the manifest path."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -75,7 +75,7 @@ def fixtures(out_dir: str, seed: int, count: int = 2, size: int = 64,
         scene_dir = os.path.join(out_dir, f"scene_{k}")
         os.makedirs(scene_dir, exist_ok=True)
         frame_a, frame_b = make_scene(rng, size)
-        stream = simulate_events(frame_a, frame_b, 0, WINDOW_US, theta)
+        stream = simulate_events(frame_a, frame_b, 0, WINDOW_US, THETA)
         low = lowlight_of(frame_b, rng)
         write_image(os.path.join(scene_dir, "low.ppm"), low)
         write_image(os.path.join(scene_dir, "gt.ppm"), frame_b)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Hfe, Hrf, RegionalSelect
-from .events import VoxelGrid, read_events, voxelize
+from .events import read_events, voxelize
 from .image import as_rgb, pad_reflect, read_image, write_image
 from .lightup import LightUpEstimator, light_up, snr_map, snr_pyramid
 from .module import (CheckpointError, Conv2d, Deconv2d, Module,
@@ -70,15 +70,14 @@ class EvLightModel(Module):
         self.up = [Deconv2d(rng, 4 * c, 2 * c), Deconv2d(rng, 2 * c, c)]
         self.head = Conv2d(rng, 3, c, 3, zero_init=True)
 
-    def normalize_grid(self, grid: VoxelGrid) -> np.ndarray:
-        """Scale by the 98th-percentile magnitude; returns [H,W,B]."""
-        mag = np.abs(grid.data)
-        q = float(np.percentile(mag, 98.0)) if mag.size else 0.0
-        denom = q if q > 1e-8 else 1.0
-        return np.ascontiguousarray(grid.data.transpose(1, 2, 0)) / denom
+    def normalize_grid(self, grid: np.ndarray) -> np.ndarray:
+        """An [H,W,bins] grid scaled by its 98th-percentile magnitude."""
+        q = float(np.percentile(np.abs(grid), 98.0))
+        return grid / (q if q > 1e-8 else 1.0)
 
-    def forward(self, img: np.ndarray, grid: VoxelGrid) -> T.Tensor:
-        """I_en for an [H,W,3] image and its voxel grid.
+    def forward(self, img: np.ndarray, grid: np.ndarray) -> T.Tensor:
+        """I_en for an [H,W,3] image and its [H,W,bins] voxel grid, both with
+        extents divisible by 4 (``predict`` pads a ``load_sample`` pair).
 
         With two cores (``T.cores() >= 2``), one worker thread makes the
         regional (IRFS, ERFS) pairs, deepest scale first, and this thread
@@ -98,11 +97,9 @@ class EvLightModel(Module):
             raise ValueError(
                 f"extents {h}x{w} must divide by 4; pad reflectively first "
                 "(the enhance command does this automatically)")
-        if grid.bins != self.bins:
-            raise ValueError(f"grid has {grid.bins} bins, model expects {self.bins}")
-        if (grid.height, grid.width) != (h, w):
-            raise ValueError(f"grid extent {grid.height}x{grid.width} does not "
-                             f"match image {h}x{w}")
+        if grid.shape != (h, w, self.bins):
+            raise ValueError(f"grid shape {grid.shape} does not match [H,W,bins] "
+                             f"= image {h}x{w} by the model's {self.bins} bins")
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             i_lu = light_up(T.Tensor(img), self.estimator)
@@ -180,21 +177,16 @@ def infer_architecture(state: dict[str, np.ndarray]) -> tuple[int, int, int]:
             int(state["ev_stem.weight"].shape[-2]))
 
 
-def predict(model: EvLightModel, img: np.ndarray, grid: VoxelGrid) -> np.ndarray:
+def predict(model: EvLightModel, img: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Enhanced [H,W,3] image in [0,1]; the one inference path.
 
-    Repeats a one-channel [H,W,1] image to RGB, pads the image and grid
-    reflectively to extents divisible by 4, runs the forward pass under
-    ``no_grad``, crops back and clips.
+    Repeats a one-channel [H,W,1] image to RGB, pads the image and its
+    [H,W,bins] grid reflectively to extents divisible by 4, runs the forward
+    pass under ``no_grad``, crops back and clips.
     """
     padded, h, w = pad_reflect(as_rgb(img), 4)
-    gdata = grid.data
-    ph, pw = padded.shape[0] - h, padded.shape[1] - w
-    if ph or pw:
-        gdata = np.pad(gdata, ((0, 0), (0, ph), (0, pw)), mode="reflect")
-    pgrid = VoxelGrid(gdata, grid.bins, padded.shape[1], padded.shape[0])
     with T.no_grad():
-        i_en = model.forward(padded, pgrid)
+        i_en = model.forward(padded, pad_reflect(grid, 4)[0])
     return np.clip(i_en.data[:h, :w, :], 0.0, 1.0)
 
 
@@ -211,10 +203,10 @@ def load_model(ckpt_path: str, tau: float = 0.5) -> EvLightModel:
 
 def load_sample(img_path: str, event_path: str, bins: int,
                 t0: int | None = None, t1: int | None = None
-                ) -> tuple[np.ndarray, VoxelGrid]:
-    """An image and its events voxelized over [t0, t1]; the sensor must match.
-
-    A CSV event file takes the image's extent as its sensor.
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """An image and its events voxelized over [t0, t1] into a C-contiguous
+    [H,W,bins] grid, aligned pixel for pixel with the image; the sensor must
+    match. A CSV event file takes the image's extent as its sensor.
     """
     img = read_image(img_path)
     h, w = img.shape[:2]
@@ -222,7 +214,8 @@ def load_sample(img_path: str, event_path: str, bins: int,
     if (stream.height, stream.width) != (h, w):
         raise ValueError(f"{event_path}: sensor {stream.height}x{stream.width} "
                          f"does not match image {img_path} {h}x{w}")
-    return img, voxelize(stream, bins, t0, t1)
+    grid = voxelize(stream, bins, t0, t1).data
+    return img, np.ascontiguousarray(grid.transpose(1, 2, 0))
 
 
 def enhance_file(img_path: str, event_path: str, ckpt_path: str,

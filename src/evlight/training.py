@@ -13,12 +13,11 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .events import VoxelGrid
 from .image import read_image
 from .model import EvLightModel, load_sample
 from .module import save_checkpoint
@@ -177,7 +176,8 @@ class TrainConfig:
 
 
 def parse_manifest(path: str) -> list[SamplePair]:
-    """Read tab-separated rows: low, events, gt, t0, t1 (paths relative)."""
+    """Read tab-separated rows: low, events, gt, t0, t1 (paths relative);
+    a manifest with no rows is rejected."""
     base = os.path.dirname(os.path.abspath(path))
     pairs = []
     with open(path, "r", encoding="utf-8") as f:
@@ -199,6 +199,8 @@ def parse_manifest(path: str) -> list[SamplePair]:
                     raise ValueError(f"{path}: line {ln}: bad integer {val!r} "
                                      f"for {key}") from None
             pairs.append(SamplePair(low, events, gt, *times))
+    if not pairs:
+        raise ValueError(f"{path}: manifest lists no sample pairs")
     return pairs
 
 
@@ -209,9 +211,8 @@ _PARSE = {"bool": ("boolean", lambda v: _BOOL[v.lower()]),
           "int": ("integer", int), "float": ("number", float)}
 
 
-def parse_config(path: str, base: TrainConfig | None = None) -> TrainConfig:
+def parse_config(path: str) -> TrainConfig:
     """Parse flat ``key = value`` lines into a TrainConfig."""
-    cfg = base if base is not None else TrainConfig()
     types = {f.name: f.type for f in fields(TrainConfig)}
     updates = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -232,39 +233,32 @@ def parse_config(path: str, base: TrainConfig | None = None) -> TrainConfig:
             except (KeyError, ValueError):
                 raise ValueError(f"{path}: line {ln}: bad {what} {val!r} "
                                  f"for {key}") from None
-    return replace(cfg, **updates)
+    return TrainConfig(**updates)
 
 
-def augment(img: np.ndarray, grid: VoxelGrid, gt: np.ndarray,
+def augment(img: np.ndarray, grid: np.ndarray, gt: np.ndarray,
             rng: np.random.Generator, crop: int | None = None,
             hflip: bool = False, rotate: bool = False
-            ) -> tuple[np.ndarray, VoxelGrid, np.ndarray]:
-    """Apply one random crop/flip/rotation identically to all three."""
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply one random crop/flip/rotation identically to the [H,W,3] image,
+    its [H,W,bins] grid and the [H,W,3] target; returns C-contiguous copies."""
     h, w = img.shape[:2]
-    if gt.shape[:2] != (h, w) or (grid.height, grid.width) != (h, w):
+    arrays = (img, grid, gt)
+    if any(a.shape[:2] != (h, w) for a in arrays):
         raise ValueError("image, grid, and target extents must agree")
-    gdata = grid.data
     if crop is not None:
         if crop > h or crop > w:
             raise ValueError(f"crop {crop} exceeds extents {h}x{w}")
         i = int(rng.integers(0, h - crop + 1))
         j = int(rng.integers(0, w - crop + 1))
-        img = img[i:i + crop, j:j + crop]
-        gt = gt[i:i + crop, j:j + crop]
-        gdata = gdata[:, i:i + crop, j:j + crop]
+        arrays = [a[i:i + crop, j:j + crop] for a in arrays]
         h = w = crop
     if hflip and rng.integers(0, 2):
-        img = img[:, ::-1]
-        gt = gt[:, ::-1]
-        gdata = gdata[:, :, ::-1]
+        arrays = [a[:, ::-1] for a in arrays]
     if rotate and h == w:
         k = int(rng.integers(0, 4))
-        if k:
-            img = np.rot90(img, k, axes=(0, 1))
-            gt = np.rot90(gt, k, axes=(0, 1))
-            gdata = np.rot90(gdata, k, axes=(1, 2))
-    out_grid = VoxelGrid(np.ascontiguousarray(gdata), grid.bins, w, h)
-    return np.ascontiguousarray(img), out_grid, np.ascontiguousarray(gt)
+        arrays = [np.rot90(a, k) for a in arrays]
+    return tuple(np.ascontiguousarray(a) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +292,7 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     forward``). Their gradients are summed in sample order, so the outputs
     do not depend on the number of cores.
     """
-    pairs = parse_manifest(manifest_path)
-    if not pairs:
-        raise ValueError(f"{manifest_path}: manifest lists no sample pairs")
-    data = _load_pairs(pairs, config.bins, config.crop)
+    data = _load_pairs(parse_manifest(manifest_path), config.bins, config.crop)
     os.makedirs(out_dir, exist_ok=True)
 
     rng = np.random.default_rng(config.seed)
@@ -360,8 +351,6 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
         writer.writerow(["step", "loss", "charbonnier", "perceptual"])
         while step < total_steps:
             t0 = time.perf_counter()
-            if not order:
-                order = list(aug_rng.permutation(len(data)))
             samples = []
             for _ in range(config.batch):
                 if not order:

@@ -9,10 +9,11 @@ import pytest
 import evlight
 from evlight import tensor as T
 from evlight.blocks import RegionalSelect
-from evlight.events import EventStream, VoxelGrid, voxelize, write_events
+from evlight.events import EventStream, voxelize, write_events
 from evlight.image import pad_reflect, read_image, write_image
 from evlight.lightup import light_up
-from evlight.model import EvLightModel, enhance_file, infer_architecture, predict
+from evlight.model import (EvLightModel, enhance_file, infer_architecture,
+                           load_sample, predict)
 from evlight.module import CheckpointError, save_checkpoint
 
 from helpers import use_cores
@@ -24,7 +25,7 @@ def _small_model(seed=0, bins=4, tau=0.5):
 
 
 def _grid(rng, bins, h, w, scale=1.0):
-    return VoxelGrid(rng.standard_normal((bins, h, w)) * scale, bins, w, h)
+    return rng.standard_normal((h, w, bins)) * scale
 
 
 def _stream(rng, w, h, n, t_max=1000):
@@ -213,6 +214,12 @@ class TestForwardValidation:
         with pytest.raises(ValueError, match="does not match"):
             model.forward(rng.uniform(0, 1, (16, 16, 3)), _grid(rng, 4, 16, 20))
 
+    def test_grid_in_bins_first_order_rejected(self, rng):
+        model = _small_model(bins=4)
+        with pytest.raises(ValueError, match=r"grid shape \(4, 16, 12\)"):
+            model.forward(rng.uniform(0, 1, (16, 12, 3)),
+                          rng.standard_normal((4, 16, 12)))
+
     def test_non_rgb_rejected(self, rng):
         with pytest.raises(ValueError, match="H,W,3"):
             _small_model().forward(rng.uniform(0, 1, (16, 16)),
@@ -222,16 +229,15 @@ class TestForwardValidation:
 class TestNormalizeGrid:
     def test_percentile_scaling(self, rng):
         model = _small_model()
-        data = rng.standard_normal((4, 8, 8)) * 3.0
-        grid = VoxelGrid(data, 4, 8, 8)
-        q = np.percentile(np.abs(data), 98.0)
+        grid = rng.standard_normal((8, 8, 4)) * 3.0
+        q = np.percentile(np.abs(grid), 98.0)
         out = model.normalize_grid(grid)
         assert out.shape == (8, 8, 4)
-        assert np.allclose(out, data.transpose(1, 2, 0) / q)
+        assert np.allclose(out, grid / q)
 
     def test_zero_grid_passes_through(self):
         model = _small_model()
-        out = model.normalize_grid(VoxelGrid(np.zeros((4, 8, 8)), 4, 8, 8))
+        out = model.normalize_grid(np.zeros((8, 8, 4)))
         assert np.all(out == 0.0)
 
 
@@ -305,9 +311,21 @@ class TestVoxelIntegration:
     def test_simulated_stream_feeds_forward(self, rng):
         model = _small_model()
         stream = _stream(rng, 16, 16, 200)
-        grid = voxelize(stream, bins=4)
+        grid = voxelize(stream, bins=4).data.transpose(1, 2, 0)
         i_en = model.forward(rng.uniform(0, 0.3, (16, 16, 3)), grid)
         assert np.all(np.isfinite(i_en.data))
+
+    def test_load_sample_grid_is_the_contiguous_transpose(self, tmp_path, rng):
+        img = rng.uniform(0.0, 1.0, (12, 20, 3))
+        stream = _stream(rng, 20, 12, 300)
+        write_image(str(tmp_path / "low.pfm"), img)
+        write_events(stream, str(tmp_path / "ev.evst"))
+        low, grid = load_sample(str(tmp_path / "low.pfm"),
+                                str(tmp_path / "ev.evst"), 5, 100, 900)
+        assert low.shape == (12, 20, 3)
+        assert grid.dtype == np.float64 and grid.flags.c_contiguous
+        assert np.array_equal(grid, voxelize(stream, 5, 100, 900).data
+                              .transpose(1, 2, 0))
 
 
 def test_star_import_resolves_every_export():

@@ -11,7 +11,7 @@ import pytest
 
 from evlight import blocks, training
 from evlight import tensor as T
-from evlight.events import EventStream, VoxelGrid, write_events
+from evlight.events import EventStream, write_events
 from evlight.fixtures import fixtures
 from evlight.image import write_image
 from evlight.tensor import Tensor
@@ -153,14 +153,14 @@ class TestAugment:
     def _triplet(self, rng, h=12, w=16, bins=3):
         img = rng.uniform(0, 1, (h, w, 3))
         gt = rng.uniform(0, 1, (h, w, 3))
-        grid = VoxelGrid(rng.standard_normal((bins, h, w)), bins, w, h)
+        grid = rng.standard_normal((h, w, bins))
         return img, grid, gt
 
     def test_no_op_settings_identity(self, rng):
         img, grid, gt = self._triplet(rng)
         a, g, b = augment(img, grid, gt, np.random.default_rng(0))
         assert np.array_equal(a, img)
-        assert np.array_equal(g.data, grid.data)
+        assert np.array_equal(g, grid)
         assert np.array_equal(b, gt)
 
     def test_same_seed_same_output(self, rng):
@@ -168,20 +168,20 @@ class TestAugment:
         outs = [augment(img, grid, gt, np.random.default_rng(5), crop=8,
                         hflip=True, rotate=True) for _ in range(2)]
         assert np.array_equal(outs[0][0], outs[1][0])
-        assert np.array_equal(outs[0][1].data, outs[1][1].data)
+        assert np.array_equal(outs[0][1], outs[1][1])
         assert np.array_equal(outs[0][2], outs[1][2])
 
     def test_identical_transform_across_modalities(self):
         base = np.arange(16 * 16, dtype=np.float64).reshape(16, 16)
         img = np.repeat(base[:, :, None], 3, axis=2)
-        grid = VoxelGrid(np.repeat(base[None], 4, axis=0), 4, 16, 16)
+        grid = np.repeat(base[:, :, None], 4, axis=2)
         for seed in range(20):
             a, g, b = augment(img, grid, img.copy(),
                               np.random.default_rng(seed), crop=8,
                               hflip=True, rotate=True)
-            assert a.shape == (8, 8, 3) and g.data.shape == (4, 8, 8)
+            assert a.shape == (8, 8, 3) and g.shape == (8, 8, 4)
             for bin_idx in range(4):
-                assert np.array_equal(a[:, :, 0], g.data[bin_idx])
+                assert np.array_equal(a[:, :, 0], g[:, :, bin_idx])
             assert np.array_equal(a, b)
 
     def test_rotation_skipped_for_non_square(self, rng):

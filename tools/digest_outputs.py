@@ -1,0 +1,165 @@
+"""Print a SHA-256 digest of every seeded output of an evlight checkout.
+
+Usage: python tools/digest_outputs.py CHECKOUT WORKDIR
+
+Imports evlight from ``CHECKOUT/src``, writes every output under WORKDIR
+(which must not exist yet) through ``evlight.cli.main``, and prints one
+``name sha256`` line per output:
+
+* seeded ``train`` runs (``loss.csv`` and ``final.evlt``) at batch 1, 2
+  and 3, with the crop equal to and smaller than the 40x40 samples;
+* ``enhance`` at 48x48, 45x38 and 33x47 (divisible by 4 and not), each at
+  tau 0.5 and 0.3, with a perturbed trained checkpoint;
+* ``lightup`` seeded and with ``--ckpt``, both ``snr-map`` outputs at two
+  kernel/tau settings, and ``voxelize`` at the default and at 6 bins;
+* the score columns of ``eval`` (its first column holds absolute paths).
+
+A refactor that must not change any output is checked by diffing the
+digests of two checkouts, e.g. at ``OPENBLAS_NUM_THREADS=1`` and unset:
+
+    python tools/digest_outputs.py old/ /tmp/d_old > old.txt
+    python tools/digest_outputs.py .    /tmp/d_new > new.txt
+    diff old.txt new.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import sys
+
+import numpy as np
+
+EXTENTS = ((48, 48), (45, 38), (33, 47))
+TAUS = (0.5, 0.3)
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def run(cli, *argv: str) -> None:
+    """``evlight <argv>`` in this process, its echo swallowed; fails loudly."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(list(argv))
+    if status:
+        raise SystemExit(f"evlight {' '.join(argv)} exited {status}:\n{out.getvalue()}")
+
+
+def scene(evlight, cli, work: str, h: int, w: int) -> tuple[str, str, str]:
+    """A seeded low/gt frame pair of extent h x w and its simulated events."""
+    rng = np.random.default_rng(h * 1000 + w)
+    yy, xx = np.mgrid[0:h, 0:w] / max(h, w)
+    base = np.stack([yy, xx, 0.5 * (yy + xx)], axis=2)
+    frame_a = np.clip(0.2 + 0.6 * base + 0.05 * rng.standard_normal(base.shape), 0, 1)
+    frame_b = np.roll(frame_a, (2, 3), axis=(0, 1))
+    low = np.clip(frame_b * 0.125 + rng.normal(0.0, 0.02, base.shape), 0, 1)
+    paths = [os.path.join(work, f"{name}_{h}x{w}.ppm") for name in ("a", "gt", "low")]
+    for path, img in zip(paths, (frame_a, frame_b, low)):
+        evlight.write_image(path, img)
+    events = os.path.join(work, f"events_{h}x{w}.evst")
+    run(cli, "simulate-events", "--frame-a", paths[0], "--frame-b", paths[1],
+        "--out", events)
+    return paths[2], events, paths[1]
+
+
+def digests(checkout: str, work: str) -> list[tuple[str, str]]:
+    src = os.path.abspath(os.path.join(checkout, "src"))
+    sys.path.insert(0, src)
+    import evlight
+    from evlight import cli, module
+    if not os.path.abspath(evlight.__file__).startswith(src + os.sep):
+        raise SystemExit(f"imported evlight from {evlight.__file__}, not {src}")
+
+    work = os.path.abspath(work)
+    os.makedirs(work)
+    out: list[tuple[str, str]] = []
+    data = os.path.join(work, "data")
+    manifest = os.path.join(data, "manifest.txt")
+    run(cli, "fixtures", "--out-dir", data, "--seed", "7", "--count", "3", "--size", "40")
+    for k in range(3):
+        for name in ("low.ppm", "gt.ppm", "events.evst"):
+            out.append((f"fixtures/scene_{k}/{name}",
+                        sha256(os.path.join(data, f"scene_{k}", name))))
+
+    config = os.path.join(work, "train.cfg")
+    with open(config, "w", encoding="utf-8") as f:
+        f.write("steps = 3\nlambda = 0.1\nlr = 1e-3\n")
+    for batch in (1, 2, 3):
+        for crop in (40, 32):
+            run_dir = os.path.join(work, f"train_b{batch}_c{crop}")
+            run(cli, "train", "--manifest", manifest, "--out-dir", run_dir,
+                "--config", config, "--seed", "3", "--batch", str(batch),
+                "--crop", str(crop))
+            for name in ("loss.csv", "final.evlt"):
+                out.append((f"train_b{batch}_c{crop}/{name}",
+                            sha256(os.path.join(run_dir, name))))
+
+    # a trained checkpoint's head is near zero; perturb every weight so the
+    # event branch shapes the enhanced image
+    rng = np.random.default_rng(11)
+    state = module.load_checkpoint(os.path.join(work, "train_b2_c32", "final.evlt"))
+    ckpt = os.path.join(work, "perturbed.evlt")
+    module.save_checkpoint({k: v + 0.01 * rng.standard_normal(v.shape)
+                            for k, v in state.items()}, ckpt)
+
+    # eval rows: the fixture scenes, then the enhance scenes
+    lines = ["\t".join([os.path.join(data, f"scene_{k}", name)
+                        for name in ("low.ppm", "events.evst", "gt.ppm")] + ["0", "100000"])
+             for k in range(3)]
+    for h, w in EXTENTS:
+        low, events, gt = scene(evlight, cli, work, h, w)
+        lines.append("\t".join([low, events, gt, "0", "100000"]))
+        for tau in TAUS:
+            path = os.path.join(work, f"enhance_{h}x{w}_tau{tau}.pfm")
+            run(cli, "enhance", "--image", low, "--events", events, "--ckpt", ckpt,
+                "--out", path, "--tau", str(tau))
+            out.append((os.path.basename(path), sha256(path)))
+
+    low = os.path.join(data, "scene_0", "low.ppm")
+    for name, extra in (("lightup_seed5.pfm", ("--seed", "5")),
+                        ("lightup_ckpt.pfm", ("--ckpt", ckpt))):
+        path = os.path.join(work, name)
+        run(cli, "lightup", "--image", low, "--out", path, *extra)
+        out.append((name, sha256(path)))
+    for kernel, tau in (("5", "0.5"), ("3", "0.3")):
+        norm = os.path.join(work, f"snr_k{kernel}_tau{tau}.pfm")
+        binary = os.path.join(work, f"snr_k{kernel}_tau{tau}.pgm")
+        run(cli, "snr-map", "--image", low, "--kernel", kernel, "--tau", tau,
+            "--out-norm", norm, "--out-binary", binary)
+        out += [(os.path.basename(norm), sha256(norm)),
+                (os.path.basename(binary), sha256(binary))]
+    events = os.path.join(data, "scene_0", "events.evst")
+    for bins in (None, "6"):
+        path = os.path.join(work, f"voxelize_{bins or 'default'}.npy")
+        run(cli, "voxelize", "--events", events, "--out", path,
+            *(("--bins", bins) if bins else ()))
+        out.append((os.path.basename(path), sha256(path)))
+
+    eval_manifest = os.path.join(work, "eval_manifest.txt")
+    with open(eval_manifest, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    scores = os.path.join(work, "scores.csv")
+    run(cli, "eval", "--manifest", eval_manifest, "--ckpt", ckpt, "--out", scores)
+    with open(scores, newline="", encoding="utf-8") as f:
+        columns = "\n".join(",".join(row[1:]) for row in csv.reader(f))
+    out.append(("eval/score_columns",
+                hashlib.sha256(columns.encode("utf-8")).hexdigest()))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    for name, digest in digests(*argv):
+        print(f"{name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
