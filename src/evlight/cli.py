@@ -24,7 +24,8 @@ from .events import read_events, simulate_events, voxelize, write_events
 from .image import as_rgb, psnr, psnr_star, read_image, ssim, write_image
 from .lightup import LightUpEstimator, light_up, snr_map, snr_pyramid
 from .model import enhance_file, load_model, load_sample, predict
-from .training import TrainConfig, parse_config, parse_manifest, train
+from .training import (TrainConfig, _parse_field, parse_config, parse_manifest,
+                       train)
 
 log = logging.getLogger("evlight")
 
@@ -166,11 +167,14 @@ def _cmd_align_match(args) -> int:
         if missing:
             raise ValueError(f"{args.meta}: missing column(s) {', '.join(missing)}")
         for row in reader:
+            where = f"{args.meta}: line {reader.line_num}"
             if any(row[key] is None for key in need):
-                raise ValueError(f"{args.meta}: line {reader.line_num} has too few fields")
-            meta = alignment.SequenceMeta(
-                row["id"], row["condition"].strip(),
-                int(row["trajectory_start"]), int(row["first_frame"]))
+                raise ValueError(f"{where} has too few fields")
+            times = [_parse_field(where, key, row[key], "int") for key in need[2:]]
+            try:
+                meta = alignment.SequenceMeta(row["id"], row["condition"].strip(), *times)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             (lows if meta.condition == "low" else normals).append(meta)
     result = alignment.match(lows, normals)
     below = alignment.align_report(result, args.threshold)

@@ -31,6 +31,14 @@ class EventFormatError(ValueError):
         super().__init__(f"{message} (byte offset {offset})")
 
 
+class _BadEvent(ValueError):
+    """A record breaks an event rule; ``index`` is the first such record."""
+
+    def __init__(self, name: str, vals: np.ndarray, bad: np.ndarray, rule: str):
+        self.index = int(np.argmax(bad))
+        super().__init__(f"{name}={vals[self.index]} {rule}")
+
+
 @dataclass(frozen=True)
 class EventStream:
     """Time-sorted events on a sensor of the given extent."""
@@ -43,28 +51,25 @@ class EventStream:
     p: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.t, dtype=np.int64)
-        x = np.ascontiguousarray(self.x, dtype=np.int64)
-        y = np.ascontiguousarray(self.y, dtype=np.int64)
-        p = np.ascontiguousarray(self.p, dtype=np.int64)
+        t, x, y, p = (np.ascontiguousarray(getattr(self, f), dtype=np.int64)
+                      for f in "txyp")
         n = t.shape[0]
         if not (x.shape[0] == y.shape[0] == p.shape[0] == n):
             raise ValueError("event arrays must share one length")
         if n:
             if t.min() < 0:
-                raise ValueError("negative timestamp")
+                raise _BadEvent("t", t, t < 0, "is negative")
             if np.any(np.diff(t) < 0):
                 raise ValueError("timestamps must be non-decreasing")
+            sensor = f"out of bounds (sensor {self.width}x{self.height})"
             if x.min() < 0 or x.max() >= self.width:
-                raise ValueError(f"x out of range [0,{self.width})")
+                raise _BadEvent("x", x, (x < 0) | (x >= self.width), sensor)
             if y.min() < 0 or y.max() >= self.height:
-                raise ValueError(f"y out of range [0,{self.height})")
+                raise _BadEvent("y", y, (y < 0) | (y >= self.height), sensor)
             if not np.all(np.abs(p) == 1):
-                raise ValueError("polarity must be +1 or -1")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "p", p)
+                raise _BadEvent("polarity", p, np.abs(p) != 1, "not in {-1,+1}")
+        for f, vals in zip("txyp", (t, x, y, p)):
+            object.__setattr__(self, f, vals)
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -132,15 +137,17 @@ def write_events(stream: EventStream, path: str) -> None:
         f.write(rec.tobytes())
 
 
-def _finish_stream(width, height, t, x, y, p) -> EventStream:
-    t = np.asarray(t, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    p = np.asarray(p, dtype=np.int64)
-    if t.shape[0] and np.any(np.diff(t) < 0):
-        order = np.argsort(t, kind="stable")
+def _sorted_stream(width, height, t, x, y, p, refuse) -> EventStream:
+    """The file's events, stably sorted by t when out of order; a record that
+    breaks a rule raises ``refuse(its index in the file, message)``."""
+    order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else None
+    if order is not None:
         t, x, y, p = t[order], x[order], y[order], p[order]
-    return EventStream(width, height, t, x, y, p)
+    try:
+        return EventStream(width, height, t, x, y, p)
+    except _BadEvent as exc:
+        i = exc.index if order is None else int(order[exc.index])
+        raise refuse(i, str(exc)) from None
 
 
 def _read_events_binary(buf: bytes, path: str) -> EventStream:
@@ -156,22 +163,12 @@ def _read_events_binary(buf: bytes, path: str) -> EventStream:
             f"{path}: expected {count} records, body holds "
             f"{len(body)} bytes", bad)
     rec = np.frombuffer(body, dtype=_RECORD)
-    x = rec["x"].astype(np.int64)
-    y = rec["y"].astype(np.int64)
-    p = rec["p"].astype(np.int64)
-    for name, vals, limit in (("x", x, width), ("y", y, height)):
-        bad = np.nonzero(vals >= limit)[0]
-        if bad.size:
-            off = _HEADER_SIZE + int(bad[0]) * _RECORD.itemsize
-            raise EventFormatError(
-                f"{path}: {name}={int(vals[bad[0]])} out of bounds "
-                f"(sensor {width}x{height})", off)
-    badp = np.nonzero(np.abs(p) != 1)[0]
-    if badp.size:
-        off = _HEADER_SIZE + int(badp[0]) * _RECORD.itemsize
-        raise EventFormatError(f"{path}: polarity {int(p[badp[0]])} not in "
-                               "{-1,+1}", off)
-    return _finish_stream(width, height, rec["t"].astype(np.int64), x, y, p)
+
+    def refuse(i, message):
+        if message.startswith("t="):  # only a u64 past int64 reads as negative
+            message = f"t={rec['t'][i]} does not fit int64"
+        return EventFormatError(f"{path}: {message}", _HEADER_SIZE + i * _RECORD.itemsize)
+    return _sorted_stream(width, height, *(rec[f] for f in "txyp"), refuse)
 
 
 def _read_events_csv(text: str, path: str, width: int, height: int) -> EventStream:
@@ -179,6 +176,9 @@ def _read_events_csv(text: str, path: str, width: int, height: int) -> EventStre
     lines = text.splitlines(keepends=True)
     # offsets[n-1] is where line n starts; ASCII, so characters are bytes
     offsets = [0, *itertools.accumulate(map(len, lines))]
+
+    def refuse(ln, message):
+        return EventFormatError(f"{path}: line {ln}: {message}", offsets[ln - 1])
     start = 1 if lines and lines[0].strip().replace(" ", "") == "t,x,y,p" else 0
     for ln, line in enumerate(lines[start:], start + 1):
         line = line.strip()
@@ -186,22 +186,18 @@ def _read_events_csv(text: str, path: str, width: int, height: int) -> EventStre
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise EventFormatError(f"{path}: line {ln}: expected 4 fields",
-                                   offsets[ln - 1])
+            raise refuse(ln, "expected 4 fields")
         try:
             rows.append((ln, *(int(v) for v in parts)))
         except ValueError as exc:
-            raise EventFormatError(f"{path}: line {ln}: {exc}", offsets[ln - 1]) from None
-    arr = np.asarray(rows, dtype=np.int64).reshape(-1, 5)
-    lns, t, x, y, p = arr.T
-    for name, vals, limit in (("x", x, width), ("y", y, height)):
-        bad = np.nonzero((vals < 0) | (vals >= limit))[0]
-        if bad.size:
-            ln = int(lns[bad[0]])
-            raise EventFormatError(f"{path}: line {ln}: {name}={int(vals[bad[0]])} "
-                                   f"out of bounds (sensor {width}x{height})",
-                                   offsets[ln - 1])
-    return _finish_stream(width, height, t, x, y, p)
+            raise refuse(ln, exc) from None
+    try:
+        lns, t, x, y, p = np.asarray(rows, dtype=np.int64).reshape(-1, 5).T
+    except OverflowError:  # searched for only once the conversion has failed
+        ln, name, v = next((r[0], name, v) for r in rows
+                           for name, v in zip("txyp", r[1:]) if not -2**63 <= v < 2**63)
+        raise refuse(ln, f"{name}={v} does not fit int64") from None
+    return _sorted_stream(width, height, t, x, y, p, lambda i, m: refuse(lns[i], m))
 
 
 def read_events(path: str, width: int | None = None,

@@ -174,9 +174,3 @@ class LayerNorm(Module):
     def forward(self, x: T.Tensor) -> T.Tensor:
         return T.layer_norm(x, self.gamma, self.beta)
 
-
-__all__ = [
-    "Module", "CheckpointError", "save_checkpoint", "load_checkpoint",
-    "conv_init", "dwconv_init",
-    "Conv2d", "DwConv2d", "Deconv2d", "LayerNorm",
-]

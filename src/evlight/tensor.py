@@ -124,8 +124,8 @@ def no_grad():
         _state.grad_enabled = prev
 
 
-# the variables by which a user sets the BLAS thread count, in precedence order
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# the variables the loaded OpenBLAS reads for its thread count, in its order
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def cores() -> int:
@@ -133,8 +133,8 @@ def cores() -> int:
     :func:`beside`, else one per core that BLAS leaves free.
 
     The cores are the process's CPU affinity; the BLAS thread count is the
-    user's (its usual variables), else the BLAS default of every core, so
-    with no variable set this is 1. It is read, never changed: on 2 cores,
+    user's (the variables OpenBLAS reads), else its default of every core,
+    so with no variable set this is 1. It is read, never changed: on 2 cores,
     two training samples side by side over 2-thread BLAS ran a crop-64 step
     1.3x slower than one sample at a time.
     """

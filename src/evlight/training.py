@@ -191,13 +191,8 @@ def parse_manifest(path: str) -> list[SamplePair]:
                                  f"fields, got {len(parts)}")
             low, events, gt = (p if os.path.isabs(p) else os.path.join(base, p)
                                for p in parts[:3])
-            times = []
-            for key, val in zip(("t0", "t1"), parts[3:]):
-                try:
-                    times.append(int(val))
-                except ValueError:
-                    raise ValueError(f"{path}: line {ln}: bad integer {val!r} "
-                                     f"for {key}") from None
+            times = [_parse_field(f"{path}: line {ln}", key, val, "int")
+                     for key, val in zip(("t0", "t1"), parts[3:])]
             pairs.append(SamplePair(low, events, gt, *times))
     if not pairs:
         raise ValueError(f"{path}: manifest lists no sample pairs")
@@ -209,6 +204,16 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 # per TrainConfig field type: the word an error names it by, and its parser
 _PARSE = {"bool": ("boolean", lambda v: _BOOL[v.lower()]),
           "int": ("integer", int), "float": ("number", float)}
+
+
+def _parse_field(where: str, key: str, text: str, kind: str):
+    """``text`` as a ``kind`` ("bool", "int" or "float"), else refused as
+    ``<where>: bad <word> '<text>' for <key>``."""
+    what, parse = _PARSE[kind]
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{where}: bad {what} {text!r} for {key}") from None
 
 
 def parse_config(path: str) -> TrainConfig:
@@ -227,12 +232,7 @@ def parse_config(path: str) -> TrainConfig:
                 key = "lam"
             if key not in types:
                 raise ValueError(f"{path}: line {ln}: unknown key {key!r}")
-            what, parse = _PARSE[types[key]]
-            try:
-                updates[key] = parse(val)
-            except (KeyError, ValueError):
-                raise ValueError(f"{path}: line {ln}: bad {what} {val!r} "
-                                 f"for {key}") from None
+            updates[key] = _parse_field(f"{path}: line {ln}", key, val, types[key])
     return TrainConfig(**updates)
 
 

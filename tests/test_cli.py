@@ -192,6 +192,18 @@ class TestEnhance:
         assert en.shape == (32, 32, 3)
         assert en.min() >= 0.0 and en.max() <= 1.0
 
+    def test_csv_value_past_int64_exits_one_naming_file_and_line(
+            self, tmp_path, rng, capsys):
+        low_path, _ = _write_scene(tmp_path, rng)
+        ev_path = tmp_path / "ev.csv"
+        ev_path.write_text("t,x,y,p\n1,0,0,1\n99999999999999999999,1,1,1\n")
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt)
+        assert main(["enhance", "--image", low_path, "--events", str(ev_path),
+                     "--ckpt", ckpt, "--out", str(tmp_path / "en.pfm")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ev_path}: line 3: t=99999999999999999999 does not fit int64" in err
+
     def test_non_finite_checkpoint_exits_one_naming_the_parameter(
             self, tmp_path, rng, capsys):
         low_path, ev_path = _write_scene(tmp_path, rng)
@@ -344,6 +356,25 @@ class TestTrainEval:
         assert lines[3].startswith("mean,")
         assert "1/2 rows ok" in capsys.readouterr().out
 
+    def test_eval_scores_the_rows_beside_a_csv_value_past_int64(self, tmp_path, capsys):
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "2", "--size", "32"])
+        data = tmp_path / "data"
+        (data / "scene_1" / "events.csv").write_text("t,x,y,p\n1,0,99999999999999999999,1\n")
+        man_path = data / "manifest.txt"
+        man_path.write_text(man_path.read_text().replace("scene_1/events.evst",
+                                                         "scene_1/events.csv"))
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt)
+        out_csv = str(tmp_path / "scores.csv")
+        assert main(["eval", "--manifest", str(man_path), "--ckpt", ckpt,
+                     "--out", out_csv]) == 1
+        lines = open(out_csv).read().strip().splitlines()
+        assert len(lines) == 4  # header, ok row, error row, mean
+        assert ",error,error," in lines[2]
+        assert "events.csv: line 2: y=99999999999999999999 does not fit int64" in lines[2]
+        assert "1/2 rows ok" in capsys.readouterr().out
+
     def test_eval_overflow_is_a_row_error(self, tmp_path, capsys):
         main(["fixtures", "--out-dir", str(tmp_path / "data"),
               "--seed", "4", "--count", "1", "--size", "32"])
@@ -488,6 +519,20 @@ class TestAlignMatch:
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,message", [
+        ("n0,normal,0,abc", "bad integer 'abc' for first_frame"),
+        ("n0,normal,x1,10", "bad integer 'x1' for trajectory_start"),
+        ("n0,dark,0,10", "condition must be low|normal, got 'dark'"),
+        ("n0,normal,10,0", "n0: first_frame precedes trajectory_start")])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("id,condition,trajectory_start,first_frame\n"
+                        f"l0,low,0,10\n{row}\n")
+        rc = main(["align-match", "--meta", str(meta),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert f"error: {meta}: line 3: {message}\n" in capsys.readouterr().err
 
     def test_missing_column_exits_one(self, tmp_path, capsys):
         meta = tmp_path / "meta.csv"

@@ -29,9 +29,9 @@ class TestStreamValidation:
             _stream(4, 4, [[5, 0, 0, 1], [3, 1, 1, 1]])
 
     def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError, match="x out of range"):
+        with pytest.raises(ValueError, match=r"x=4 out of bounds \(sensor 4x4\)"):
             _stream(4, 4, [[0, 4, 0, 1]])
-        with pytest.raises(ValueError, match="y out of range"):
+        with pytest.raises(ValueError, match=r"y=4 out of bounds \(sensor 4x4\)"):
             _stream(4, 4, [[0, 0, 4, 1]])
 
     def test_bad_polarity_rejected(self):
@@ -219,6 +219,49 @@ class TestEventIO:
         with pytest.raises(EventFormatError, match="line 3") as e:
             read_events(str(p), width=4, height=3)
         assert e.value.offset == len(b"".join(head))
+
+    @pytest.mark.parametrize("row,bad", [("9,1,1,0", r"polarity=0 not in \{-1,\+1\}"),
+                                         ("-5,1,1,1", "t=-5 is negative")])
+    def test_csv_record_breaking_a_rule_names_file_and_line(self, tmp_path, row, bad):
+        p = tmp_path / "e.csv"
+        p.write_text(f"t,x,y,p\n1,0,0,1\n{row}\n")
+        with pytest.raises(EventFormatError,
+                           match=f"{re.escape(str(p))}: line 3: {bad}") as e:
+            read_events(str(p), width=4, height=3)
+        assert e.value.offset == len("t,x,y,p\n1,0,0,1\n")
+
+    def test_unsorted_csv_names_the_bad_records_line_in_the_file(self, tmp_path):
+        # sorted by t, the bad record (line 5) would come first
+        p = tmp_path / "e.csv"
+        p.write_text("t,x,y,p\n50,0,0,1\n40,1,1,1\n\n5,9,1,1\n")
+        with pytest.raises(EventFormatError,
+                           match=r"line 5: x=9 out of bounds \(sensor 4x3\)") as e:
+            read_events(str(p), width=4, height=3)
+        assert e.value.offset == len("t,x,y,p\n50,0,0,1\n40,1,1,1\n\n")
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_csv_value_past_int64_names_file_and_line(self, tmp_path, field):
+        row = ["7", "1", "1", "1"]
+        row[field] = "99999999999999999999"
+        p = tmp_path / "e.csv"
+        p.write_text("t,x,y,p\n1,0,0,1\n" + ",".join(row) + "\n")
+        with pytest.raises(EventFormatError,
+                           match=f"{re.escape(str(p))}: line 3: {'txyp'[field]}="
+                                 "99999999999999999999 does not fit int64"):
+            read_events(str(p), width=4, height=3)
+
+    def test_evst_timestamp_past_int64_names_its_offset(self, tmp_path):
+        z = np.zeros(3, dtype=np.int64)
+        p = tmp_path / "e.evst"
+        write_events(EventStream(4, 4, np.arange(3), z, z, z + 1), str(p))
+        data = bytearray(p.read_bytes())
+        data[20 + 14:20 + 22] = (2**63).to_bytes(8, "little")  # t of record 1
+        p.write_bytes(bytes(data))
+        with pytest.raises(EventFormatError,
+                           match=f"{re.escape(str(p))}: t=9223372036854775808 "
+                                 "does not fit int64") as e:
+            read_events(str(p))
+        assert e.value.offset == 20 + 14
 
     def test_csv_write_matches_per_event_loop(self, rng, tmp_path):
         for n in (0, 1, 500):

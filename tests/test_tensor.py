@@ -1,4 +1,6 @@
 """Autodiff substrate: op semantics, gradients vs finite differences."""
+import os
+import subprocess
 import sys
 import threading
 
@@ -611,3 +613,35 @@ class TestNoGrad:
         with T.beside(probe, [0]) as seen:
             pass
         assert seen == [(True, np.geterr()["over"])]
+
+
+# the BLAS thread count the loaded OpenBLAS reports, through the getter the
+# benchmark's blas_threads() finds, beside cores() and the affinity
+_CORES_PROBE = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from workloads import blas_threads
+from evlight.tensor import cores
+print(blas_threads(), cores(), len(os.sched_getaffinity(0)))
+"""
+
+
+@pytest.mark.parametrize("env", [
+    {"MKL_NUM_THREADS": "1"},
+    {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+    {"GOTO_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"},
+    {},
+])
+def test_cores_reads_the_thread_count_openblas_reads(env):
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    clean = {k: v for k, v in os.environ.items()
+             if k not in (*T._BLAS_VARS, "MKL_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", _CORES_PROBE, bench],
+                         env={**clean, **env}, capture_output=True, text=True,
+                         check=True, timeout=120).stdout.split()
+    blas, cores, affinity = out
+    if blas == "None":
+        pytest.skip("the loaded OpenBLAS reports no thread count")
+    assert int(cores) == max(1, int(affinity) // int(blas))

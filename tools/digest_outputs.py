@@ -10,6 +10,9 @@ Imports evlight from ``CHECKOUT/src``, writes every output under WORKDIR
   and 3, with the crop equal to and smaller than the 40x40 samples;
 * ``enhance`` at 48x48, 45x38 and 33x47 (divisible by 4 and not), each at
   tau 0.5 and 0.3, with a perturbed trained checkpoint;
+* ``simulate-events`` written as CSV, and ``enhance`` reading that CSV and a
+  shuffled copy of it (which the reader sorts back by t);
+* the pairs CSV of ``align-match``;
 * ``lightup`` seeded and with ``--ckpt``, both ``snr-map`` outputs at two
   kernel/tau settings, and ``voxelize`` at the default and at 6 bins;
 * the score columns of ``eval`` (its first column holds absolute paths).
@@ -50,8 +53,10 @@ def run(cli, *argv: str) -> None:
         raise SystemExit(f"evlight {' '.join(argv)} exited {status}:\n{out.getvalue()}")
 
 
-def scene(evlight, cli, work: str, h: int, w: int) -> tuple[str, str, str]:
-    """A seeded low/gt frame pair of extent h x w and its simulated events."""
+def scene(write_image, cli, work: str, h: int, w: int,
+          ext: str = "evst") -> tuple[str, str, str]:
+    """A seeded low/gt frame pair of extent h x w and its simulated events,
+    written as ``.evst`` or ``.csv``."""
     rng = np.random.default_rng(h * 1000 + w)
     yy, xx = np.mgrid[0:h, 0:w] / max(h, w)
     base = np.stack([yy, xx, 0.5 * (yy + xx)], axis=2)
@@ -60,8 +65,8 @@ def scene(evlight, cli, work: str, h: int, w: int) -> tuple[str, str, str]:
     low = np.clip(frame_b * 0.125 + rng.normal(0.0, 0.02, base.shape), 0, 1)
     paths = [os.path.join(work, f"{name}_{h}x{w}.ppm") for name in ("a", "gt", "low")]
     for path, img in zip(paths, (frame_a, frame_b, low)):
-        evlight.write_image(path, img)
-    events = os.path.join(work, f"events_{h}x{w}.evst")
+        write_image(path, img)
+    events = os.path.join(work, f"events_{h}x{w}.{ext}")
     run(cli, "simulate-events", "--frame-a", paths[0], "--frame-b", paths[1],
         "--out", events)
     return paths[2], events, paths[1]
@@ -72,6 +77,7 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
     sys.path.insert(0, src)
     import evlight
     from evlight import cli, module
+    from evlight.image import write_image
     if not os.path.abspath(evlight.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported evlight from {evlight.__file__}, not {src}")
 
@@ -112,13 +118,39 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
                         for name in ("low.ppm", "events.evst", "gt.ppm")] + ["0", "100000"])
              for k in range(3)]
     for h, w in EXTENTS:
-        low, events, gt = scene(evlight, cli, work, h, w)
+        low, events, gt = scene(write_image, cli, work, h, w)
         lines.append("\t".join([low, events, gt, "0", "100000"]))
         for tau in TAUS:
             path = os.path.join(work, f"enhance_{h}x{w}_tau{tau}.pfm")
             run(cli, "enhance", "--image", low, "--events", events, "--ckpt", ckpt,
                 "--out", path, "--tau", str(tau))
             out.append((os.path.basename(path), sha256(path)))
+
+    # the CSV event path: as written, and with its rows shuffled
+    low, events, _ = scene(write_image, cli, work, 45, 38, "csv")
+    out.append((os.path.basename(events), sha256(events)))
+    with open(events, encoding="ascii") as f:
+        header, *rows = f.readlines()
+    shuffled = os.path.join(work, "events_45x38_shuffled.csv")
+    with open(shuffled, "w", encoding="ascii") as f:
+        order = np.random.default_rng(5).permutation(len(rows))
+        f.writelines([header] + [rows[i] for i in order])
+    for name, path in (("csv", events), ("csv_shuffled", shuffled)):
+        dest = os.path.join(work, f"enhance_45x38_{name}.pfm")
+        run(cli, "enhance", "--image", low, "--events", path, "--ckpt", ckpt,
+            "--out", dest)
+        out.append((os.path.basename(dest), sha256(dest)))
+
+    meta = os.path.join(work, "meta.csv")
+    rng = np.random.default_rng(13)
+    with open(meta, "w", encoding="utf-8") as f:
+        f.write("id,condition,trajectory_start,first_frame\n")
+        for k, cond in enumerate(["low"] * 5 + ["normal"] * 4):
+            start = int(rng.integers(0, 10**7))
+            f.write(f"s{k},{cond},{start},{start + int(rng.integers(0, 40_000))}\n")
+    pairs = os.path.join(work, "align_pairs.csv")
+    run(cli, "align-match", "--meta", meta, "--out", pairs)
+    out.append((os.path.basename(pairs), sha256(pairs)))
 
     low = os.path.join(data, "scene_0", "low.ppm")
     for name, extra in (("lightup_seed5.pfm", ("--seed", "5")),
