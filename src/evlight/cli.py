@@ -54,14 +54,9 @@ def _print_config(args: argparse.Namespace, resolved: dict | None = None) -> Non
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     cfg = parse_config(args.config) if args.config else TrainConfig()
-    overrides = {}
-    for key, attr in (("lr", "lr"), ("epochs", "epochs"), ("steps", "steps"),
-                      ("batch", "batch"), ("crop", "crop"), ("lam", "lam"),
-                      ("seed", "seed"), ("bins", "bins"), ("tau", "tau")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[key] = val
-    return replace(cfg, **overrides)
+    flags = ("lr", "epochs", "steps", "batch", "crop", "lam", "seed", "bins", "tau")
+    return replace(cfg, **{key: getattr(args, key) for key in flags
+                           if getattr(args, key) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -128,34 +123,38 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     pairs = parse_manifest(args.manifest)
     model = load_model(args.ckpt, args.tau)
-    rows = []
-    failed = False
-    sums = np.zeros(3)
-    n_ok = 0
-    for pair in pairs:
+
+    def score(pair):
+        """The row's (psnr, psnr_star, ssim), or the message of its error."""
         try:
             low, grid = load_sample(pair.low, pair.events, model.bins,
                                     pair.t0, pair.t1)
             gt = read_image(pair.gt)
             en = predict(model, low, grid)
-            vals = (psnr(en, gt), psnr_star(en, gt), ssim(en, gt))
+            return psnr(en, gt), psnr_star(en, gt), ssim(en, gt)
+        except (OSError, ValueError, T.NonFiniteError) as exc:
+            return str(exc)
+
+    rows = []
+    sums = np.zeros(3)
+    n_ok = 0
+    # rows are scored side by side, then summed and written in manifest order
+    for pair, vals in zip(pairs, T.each(score, pairs)):
+        if isinstance(vals, str):
+            rows.append([pair.low, "error", "error", vals])
+            log.error("eval failed for %s: %s", pair.low, vals)
+        else:
             sums += np.asarray(vals)
             n_ok += 1
-            rows.append([pair.low, f"{vals[0]:.6f}", f"{vals[1]:.6f}",
-                         f"{vals[2]:.6f}"])
-        except (OSError, ValueError, T.NonFiniteError) as exc:
-            failed = True
-            rows.append([pair.low, "error", "error", str(exc)])
-            log.error("eval failed for %s: %s", pair.low, exc)
+            rows.append([pair.low, *(f"{v:.6f}" for v in vals)])
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["path", "psnr", "psnr_star", "ssim"])
         writer.writerows(rows)
         if n_ok:
-            m = sums / n_ok
-            writer.writerow(["mean", f"{m[0]:.6f}", f"{m[1]:.6f}", f"{m[2]:.6f}"])
+            writer.writerow(["mean", *(f"{v:.6f}" for v in sums / n_ok)])
     print(f"wrote {args.out} ({n_ok}/{len(pairs)} rows ok)")
-    return 1 if failed else 0
+    return 0 if n_ok == len(pairs) else 1
 
 
 def _cmd_align_match(args) -> int:

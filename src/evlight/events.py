@@ -187,6 +187,9 @@ def _read_events_csv(text: str, path: str, width: int, height: int) -> EventStre
         parts = line.split(",")
         if len(parts) != 4:
             raise refuse(ln, "expected 4 fields")
+        if "_" in line:  # int() reads a digit group: '1_000' as 1000
+            name, v = next((n, v) for n, v in zip("txyp", parts) if "_" in v)
+            raise refuse(ln, f"bad integer {v!r} for {name}")
         try:
             rows.append((ln, *(int(v) for v in parts)))
         except ValueError as exc:

@@ -15,19 +15,14 @@ Layout (scale s has channels C*2^s at extent H/2^s x W/2^s):
 * a zero-initialized head conv3x3 predicts a residual on top of I_lu.
 
 The regional selectors and the holistic trunk meet only in the decoder's
-fusions, so they run side by side when the calling thread has two cores
-(``tensor.cores()``): a worker thread runs the selection pyramid and the
-selectors, deepest scale first, and hands each scale's pair over as soon
-as it is made, while the calling thread runs the stems' fusion, encoder,
-bottleneck and decoder; the decoder waits at a fusion only for a pair not
-made yet. Threads change no arithmetic, so the outputs are bit-identical
-either way.
+fusions, so the two branches run side by side (``tensor.each``) when the
+calling thread has two cores: a worker thread runs the selection pyramid
+and the selectors while the calling thread runs the stems' fusion, encoder
+and bottleneck; the decoder starts once both are done. With one core both
+run in turn on the calling thread. Threads change no arithmetic, so the
+outputs are bit-identical either way.
 """
 from __future__ import annotations
-
-import functools
-import queue
-from typing import Iterator
 
 import numpy as np
 
@@ -79,13 +74,10 @@ class EvLightModel(Module):
         """I_en for an [H,W,3] image and its [H,W,bins] voxel grid, both with
         extents divisible by 4 (``predict`` pads a ``load_sample`` pair).
 
-        With two cores (``T.cores() >= 2``), one worker thread makes the
-        regional (IRFS, ERFS) pairs, deepest scale first, and this thread
-        runs the holistic trunk, waiting at each decoder fusion only while
-        that scale's pair is not ready; the worker is always joined and its
-        failure re-raised here. With one core, this thread makes each pair
-        when the decoder asks for it. Each activation is dropped after its
-        last use, so under ``no_grad`` it is freed there. numpy's
+        The holistic trunk (on this thread) and the regional (IRFS, ERFS)
+        pairs run side by side through ``T.each``, then the decoder fuses
+        each scale's pair, deepest first. Each activation is dropped after
+        its last use, so under ``no_grad`` it is freed there. numpy's
         floating-point warnings are off throughout, since each op's result,
         the SNR map and the normalized grid are checked for NaN/Inf instead.
         """
@@ -107,31 +99,29 @@ class EvLightModel(Module):
 
             f_img = self.img_stem.forward(i_lu)
             f_ev = self.ev_stem.forward(T.Tensor(self.normalize_grid(grid)))
-            regional = self._regional(f_img, f_ev, masks)
-            if T.cores() >= 2:
-                made = queue.SimpleQueue()
-                worker, take = [(regional, made)], functools.partial(_take, made)
-            else:
-                worker, take = [], regional.__next__
-            with T.beside(_feed, worker):
-                # holistic trunk; events enter only where the image is untrusted
-                ev_gated = T.mul(f_ev, T.Tensor(1.0 - masks[0][:, :, None]))
-                x = self.fuse.forward(T.concat([f_img, ev_gated]))
-                del f_img, f_ev, ev_gated, regional
-                x = self.enc_hfe[0].forward(x)
-                x = self.enc_hfe[1].forward(self.enc_down[0].forward(x))
-                x = self.bottleneck.forward(self.enc_down[1].forward(x))
-                # decoder: fuse each scale's regional pair, deepest first
-                for s in (2, 1, 0):
-                    x = self.hrf[s].forward(*take(), x)
-                    if s:
-                        x = self.up[2 - s].forward(self.dec_hfe[2 - s].forward(x))
-
+            x, pairs = T.each(lambda branch: branch(f_img, f_ev, masks),
+                              (self._holistic, self._regional))
+            del f_img, f_ev
+            for s in (2, 1, 0):
+                x = self.hrf[s].forward(*pairs.pop(0), x)
+                if s:
+                    x = self.up[2 - s].forward(self.dec_hfe[2 - s].forward(x))
             return T.add(self.head.forward(x), i_lu)
 
+    def _holistic(self, f_img: T.Tensor, f_ev: T.Tensor, masks: list[np.ndarray]
+                  ) -> T.Tensor:
+        """The bottleneck's features; events enter only where the image is
+        untrusted."""
+        ev_gated = T.mul(f_ev, T.Tensor(1.0 - masks[0][:, :, None]))
+        x = self.fuse.forward(T.concat([f_img, ev_gated]))
+        del f_img, f_ev, ev_gated
+        x = self.enc_hfe[0].forward(x)
+        x = self.enc_hfe[1].forward(self.enc_down[0].forward(x))
+        return self.bottleneck.forward(self.enc_down[1].forward(x))
+
     def _regional(self, f_img: T.Tensor, f_ev: T.Tensor, masks: list[np.ndarray]
-                  ) -> Iterator[tuple[T.Tensor, T.Tensor]]:
-        """Yield each scale's (IRFS, ERFS) pair, deepest scale first.
+                  ) -> list[tuple[T.Tensor, T.Tensor]]:
+        """Each scale's (IRFS, ERFS) pair, deepest scale first.
 
         Takes the stems' features as arguments, and drops each scale's
         selection features once its pair is made.
@@ -141,29 +131,8 @@ class EvLightModel(Module):
         for s in range(2):
             sel_img.append(self.sel_img_down[s].forward(sel_img[-1]))
             sel_ev.append(self.sel_ev_down[s].forward(sel_ev[-1]))
-        for s in (2, 1, 0):
-            yield (self.irfs[s].forward(sel_img.pop(), masks[s]),
-                   self.erfs[s].forward(sel_ev.pop(), masks[s]))
-
-
-def _feed(job: tuple[Iterator, queue.SimpleQueue]) -> None:
-    """Put each item of ``regional`` on ``made`` as it is made; a failure
-    goes there too, so the thread that takes the items stops waiting."""
-    regional, made = job
-    try:
-        for item in regional:
-            made.put(item)
-    except BaseException as exc:
-        made.put(exc)
-        raise
-
-
-def _take(made: queue.SimpleQueue):
-    """The next item ``_feed`` put on ``made``; raises the failure it put there."""
-    item = made.get()
-    if isinstance(item, BaseException):
-        raise item
-    return item
+        return [(self.irfs[s].forward(sel_img.pop(), masks[s]),
+                 self.erfs[s].forward(sel_ev.pop(), masks[s])) for s in (2, 1, 0)]
 
 
 def infer_architecture(state: dict[str, np.ndarray]) -> tuple[int, int, int]:

@@ -16,10 +16,11 @@ NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
 record no graph, so inference keeps no backward buffers alive; the scope is
 per thread, so one thread can infer while another records a graph.
 
-:func:`beside` is the one way the package starts threads: it runs calls on
-threads of their own beside the calling thread, splits the caller's
-:func:`cores` between them and carries the caller's ``no_grad`` scope and
-numpy ``errstate`` into each. numpy releases the GIL in its GEMMs, so the threads run side by side.
+:func:`each` is the one way the package starts threads: it maps a function
+over independent items, at most :func:`cores` at a time, splits the caller's
+cores between them and carries the caller's ``no_grad`` scope and numpy
+``errstate`` into each. numpy releases the GIL in its GEMMs, so the threads
+run side by side.
 
 :func:`backward` returns the leaf gradients as a dict and keeps them nowhere
 else, so threads can run backward over graphs that share parameters. It
@@ -32,7 +33,7 @@ import contextlib
 import math
 import os
 import threading
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -105,7 +106,7 @@ class _ThreadState(threading.local):
 
     grad_enabled = True
     grads: dict | None = None  # the gradients of the running backward, by node
-    cores = 0  # this thread's share of the cores from beside(); 0: not in one
+    cores = 0  # this thread's share of the cores from each(); 0: not in one
 
 
 _state = _ThreadState()
@@ -114,7 +115,7 @@ _state = _ThreadState()
 @contextlib.contextmanager
 def no_grad():
     """Scope in which this thread's op results keep neither parents nor
-    backward closures. :func:`beside` carries the scope into the threads it
+    backward closures. :func:`each` carries the scope into the threads it
     starts, so their ops record no graph either."""
     prev = _state.grad_enabled
     _state.grad_enabled = False
@@ -130,7 +131,7 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 def cores() -> int:
     """How many threads this thread may keep busy: its share from
-    :func:`beside`, else one per core that BLAS leaves free.
+    :func:`each`, else one per core that BLAS leaves free.
 
     The cores are the process's CPU affinity; the BLAS thread count is the
     user's (the variables OpenBLAS reads), else its default of every core,
@@ -153,45 +154,45 @@ def cores() -> int:
     return max(1, n // blas)
 
 
-@contextlib.contextmanager
-def beside(fn: Callable, items: Sequence) -> Iterator[list]:
-    """Run ``fn(item)`` for each item on a thread of its own while the body
-    runs in the calling thread; yields the list that holds their results, in
-    item order, once the scope has closed.
+def each(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, in item order, run side by side in
+    groups of at most :func:`cores` items.
 
-    The body and the threads split this thread's :func:`cores` evenly (at
-    least one each), and each thread runs in this thread's ``no_grad``
-    state and numpy ``errstate``. Every thread is joined on exit, also when
-    the body raises; a failure is re-raised here with its own type, the
-    body's first, then the threads' in item order.
+    A group's first item runs on the calling thread and the others on
+    threads of their own; each gets an even share of this thread's cores (at
+    least one) and runs in this thread's ``no_grad`` state and numpy
+    ``errstate``. A group's threads are all joined before the next group
+    starts, and the first failure in item order is re-raised here with its
+    own type. With one core no thread is started.
     """
-    share = max(1, cores() // (len(items) + 1))
+    width = cores()
     grad_enabled, fp_errors = _state.grad_enabled, np.geterr()
     results: list = [None] * len(items)
     errors: list = [None] * len(items)
 
-    def run(i, item):
+    def run(i, share):
         _state.cores, _state.grad_enabled = share, grad_enabled
         try:
             with np.errstate(**fp_errors):
-                results[i] = fn(item)
+                results[i] = fn(items[i])
         except BaseException as exc:  # re-raised below, in the calling thread
             errors[i] = exc
 
-    threads = [threading.Thread(target=run, args=(i, item))
-               for i, item in enumerate(items)]
-    for t in threads:
-        t.start()
-    prev, _state.cores = _state.cores, share
-    try:
-        yield results
-    finally:
+    prev = _state.cores
+    for start in range(0, len(items), width):
+        group = range(start, min(start + width, len(items)))
+        share = max(1, width // len(group))
+        threads = [threading.Thread(target=run, args=(i, share)) for i in group[1:]]
+        for t in threads:
+            t.start()
+        run(start, share)
         _state.cores = prev
         for t in threads:
             t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        for exc in errors[start:group.stop]:
+            if exc is not None:
+                raise exc
+    return results
 
 
 def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],

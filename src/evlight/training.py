@@ -208,12 +208,16 @@ _PARSE = {"bool": ("boolean", lambda v: _BOOL[v.lower()]),
 
 def _parse_field(where: str, key: str, text: str, kind: str):
     """``text`` as a ``kind`` ("bool", "int" or "float"), else refused as
-    ``<where>: bad <word> '<text>' for <key>``."""
+    ``<where>: bad <word> '<text>' for <key>``. A digit-group ``_`` or a
+    non-ASCII character is refused, though ``int()`` and ``float()`` take
+    them."""
     what, parse = _PARSE[kind]
-    try:
-        return parse(text)
-    except (KeyError, ValueError):
-        raise ValueError(f"{where}: bad {what} {text!r} for {key}") from None
+    if "_" not in text and text.isascii():
+        try:
+            return parse(text)
+        except (KeyError, ValueError):
+            pass
+    raise ValueError(f"{where}: bad {what} {text!r} for {key}")
 
 
 def parse_config(path: str) -> TrainConfig:
@@ -286,11 +290,11 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     given, gets one line per step with the loss, the gradient norm before
     clipping, whether it was clipped, and the step's wall time.
 
-    The samples of a batch run side by side, one per core that BLAS leaves
-    free (``T.cores()``), each with its own graph; a sample that has two
-    cores to itself also runs its forward pass on both (``EvLightModel.
-    forward``). Their gradients are summed in sample order, so the outputs
-    do not depend on the number of cores.
+    The samples of a batch run side by side through ``T.each``, at most one
+    per core that BLAS leaves free (``T.cores()``), each with its own graph;
+    a sample that has two cores to itself also runs its forward pass on both
+    (``EvLightModel.forward``). Their gradients are summed in sample order,
+    so the outputs do not depend on the number of cores.
     """
     data = _load_pairs(parse_manifest(manifest_path), config.bins, config.crop)
     os.makedirs(out_dir, exist_ok=True)
@@ -302,8 +306,6 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     opt = Adam(params, config.lr)
     phi = RandomConvFeatures(seed=config.seed + 1) if config.lam > 0 else None
     aug_rng = np.random.default_rng(config.seed + 2)
-    # at most `workers` graphs alive at once
-    workers = min(config.batch, T.cores())
 
     def sample_grads(sample):
         """One sample's leaf gradients and (loss, charbonnier, perceptual)."""
@@ -318,18 +320,14 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
         The gradients are locals, so they are freed before the next forward."""
         summed: dict = {}
         vals = []
-        for i in range(0, len(samples), workers):
-            first, *rest = samples[i:i + workers]
-            with T.beside(sample_grads, rest) as others:
-                mine = sample_grads(first)
-            # gradients add in sample order
-            for grads, v in [mine, *others]:
-                vals.append(v)
-                for p, g in grads.items():
-                    if p in summed:
-                        summed[p] += g
-                    else:
-                        summed[p] = g
+        # gradients add in sample order
+        for grads, v in T.each(sample_grads, samples):
+            vals.append(v)
+            for p, g in grads.items():
+                if p in summed:
+                    summed[p] += g
+                else:
+                    summed[p] = g
         grads = [summed[p] if p in summed else np.zeros_like(p.data) for p in params]
         inv = 1.0 / len(samples)
         for g in grads:

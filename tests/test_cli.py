@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import evlight
+from evlight import cli
 from evlight.cli import DEFAULT_SEED, main
 from evlight.events import (EventStream, read_events, simulate_events, voxelize,
                             write_events)
@@ -17,6 +19,8 @@ from evlight.lightup import light_up
 from evlight.model import EvLightModel
 from evlight.module import save_checkpoint
 from evlight.tensor import Tensor
+
+from helpers import use_cores
 
 
 def _write_scene(tmp_path, rng, size=32):
@@ -375,6 +379,38 @@ class TestTrainEval:
         assert "events.csv: line 2: y=99999999999999999999 does not fit int64" in lines[2]
         assert "1/2 rows ok" in capsys.readouterr().out
 
+    def test_eval_on_two_cores_scores_rows_side_by_side_with_the_same_csv(
+            self, tmp_path, monkeypatch, capsys):
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "3", "--size", "32"])
+        man_path = tmp_path / "data" / "manifest.txt"
+        first, *rest = man_path.read_text().splitlines()
+        man_path.write_text("\n".join([first, "missing.ppm\tscene_0/events.evst\t"
+                                        "scene_0/gt.ppm\t0\t100000", *rest]) + "\n")
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt)
+        predict = cli.predict
+        threads = set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return predict(*args)
+
+        monkeypatch.setattr(cli, "predict", spy)
+        runs = []
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
+            threads.clear()
+            out_csv = tmp_path / f"scores_{cores}.csv"
+            status = main(["eval", "--manifest", str(man_path), "--ckpt", ckpt,
+                           "--out", str(out_csv)])
+            runs.append((status, out_csv.read_bytes()))
+            assert len(threads) == cores
+            assert "3/4 rows ok" in capsys.readouterr().out
+        assert runs[0] == runs[1] and runs[0][0] == 1
+        assert runs[0][1].decode().splitlines()[2].startswith(
+            str(tmp_path / "data" / "missing.ppm") + ",error,error,")
+
     def test_eval_overflow_is_a_row_error(self, tmp_path, capsys):
         main(["fixtures", "--out-dir", str(tmp_path / "data"),
               "--seed", "4", "--count", "1", "--size", "32"])
@@ -529,6 +565,21 @@ class TestAlignMatch:
         meta = tmp_path / "meta.csv"
         meta.write_text("id,condition,trajectory_start,first_frame\n"
                         f"l0,low,0,10\n{row}\n")
+        rc = main(["align-match", "--meta", str(meta),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert f"error: {meta}: line 3: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,message", [
+        ("n0,normal,1_0,20", "bad integer '1_0' for trajectory_start"),
+        ("n0,normal,0,\uff12\uff10", "bad integer '\uff12\uff10' for first_frame"),
+    ])
+    def test_digit_group_or_non_ascii_integer_is_refused(self, tmp_path, capsys,
+                                                         row, message):
+        # int() reads '1_0' as 10 and fullwidth digits as ASCII ones
+        meta = tmp_path / "meta.csv"
+        meta.write_text("id,condition,trajectory_start,first_frame\n"
+                        f"l0,low,0,10\n{row}\n", encoding="utf-8")
         rc = main(["align-match", "--meta", str(meta),
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 1

@@ -250,6 +250,17 @@ class TestEventIO:
                                  "99999999999999999999 does not fit int64"):
             read_events(str(p), width=4, height=3)
 
+    @pytest.mark.parametrize("row,bad", [("1_000,0,0,1", "'1_000' for t"),
+                                         ("9,1,0_1,1", "'0_1' for y")])
+    def test_csv_digit_group_is_refused_with_file_and_line(self, tmp_path, row, bad):
+        # int() would read '1_000' as 1000
+        p = tmp_path / "e.csv"
+        p.write_text(f"t,x,y,p\n1,0,0,1\n{row}\n")
+        with pytest.raises(EventFormatError,
+                           match=f"{re.escape(str(p))}: line 3: bad integer {bad}") as e:
+            read_events(str(p), width=4, height=3)
+        assert e.value.offset == len("t,x,y,p\n1,0,0,1\n")
+
     def test_evst_timestamp_past_int64_names_its_offset(self, tmp_path):
         z = np.zeros(3, dtype=np.int64)
         p = tmp_path / "e.evst"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from evlight import tensor as T
 from evlight.tensor import NonFiniteError, Parameter, ShapeError, Tensor
 
 import helpers
-from helpers import fd_gradcheck, max_rel_err, rand_tensor, sum_all
+from helpers import fd_gradcheck, max_rel_err, rand_tensor, sum_all, use_cores
 
 
 class TestTensorBasics:
@@ -600,19 +601,78 @@ class TestNoGrad:
                 T.mul(x, 10.0)
         assert T.mul(x, 1.0).requires_grad
 
-    def test_beside_carries_no_grad_and_errstate_into_its_threads(self):
+    def test_each_carries_no_grad_and_errstate_into_its_threads(self, monkeypatch):
+        use_cores(monkeypatch, 2)
         x = Tensor(np.ones(3), requires_grad=True)
 
         def probe(_):
-            return T.mul(x, 2.0).requires_grad, np.geterr()["over"]
+            return (T.mul(x, 2.0).requires_grad, np.geterr()["over"],
+                    threading.get_ident())
 
         with T.no_grad(), np.errstate(over="ignore"):
-            with T.beside(probe, [0, 1]) as seen:
-                pass
-        assert seen == [(False, "ignore")] * 2
-        with T.beside(probe, [0]) as seen:
-            pass
-        assert seen == [(True, np.geterr()["over"])]
+            seen = T.each(probe, [0, 1])
+        assert [s[:2] for s in seen] == [(False, "ignore")] * 2
+        assert seen[0][2] == threading.get_ident() != seen[1][2]
+        assert [s[:2] for s in T.each(probe, [0])] == [(True, np.geterr()["over"])]
+
+
+class TestEach:
+    def test_at_most_cores_items_run_at_once_and_results_keep_item_order(
+            self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        lock = threading.Lock()
+        running, peak, shares = [0], [0], []
+
+        def work(i):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                shares.append(T.cores())
+            time.sleep(0.05 if i % 2 else 0.1)  # later items finish first
+            with lock:
+                running[0] -= 1
+            return 10 * i
+
+        assert T.each(work, range(5)) == [0, 10, 20, 30, 40]
+        assert peak[0] == 2
+        # two items share the two cores; the last group's lone item has both
+        assert sorted(shares) == [1, 1, 1, 1, 2]
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        use_cores(monkeypatch, 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("each started a thread on one core")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert T.each(lambda i: (i, threading.get_ident()), range(3)) == \
+            [(i, threading.get_ident()) for i in range(3)]
+
+    def test_a_failing_group_stops_the_later_groups(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        started = []
+
+        def work(i):
+            started.append(i)
+            if i < 2:
+                raise (KeyError if i == 0 else OSError)(i)
+            return i
+
+        # both items of the first group fail: item 0's failure is raised
+        with pytest.raises(KeyError):
+            T.each(work, range(4))
+        assert sorted(started) == [0, 1]
+
+    def test_the_callers_cores_are_restored_after_a_failing_item(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+
+        def fail(i):
+            assert T.cores() == 1
+            raise ValueError(i)
+
+        with pytest.raises(ValueError):
+            T.each(fail, [0, 1])
+        assert T.cores() == 2 and T._state.cores == 0
 
 
 # the BLAS thread count the loaded OpenBLAS reports, through the getter the

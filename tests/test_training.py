@@ -229,6 +229,17 @@ class TestParseManifest:
             with pytest.raises(ValueError, match=re.escape(f"{man}: {message}")):
                 parse_manifest(str(man))
 
+    @pytest.mark.parametrize("row,message", [
+        ("a\tb\tc\t0\t1_000\n", "line 1: bad integer '1_000' for t1"),
+        ("a\tb\tc\t\uff10\t10\n", "line 1: bad integer '\uff10' for t0"),
+    ])
+    def test_digit_group_or_non_ascii_time_is_refused(self, tmp_path, row, message):
+        # int() reads '1_000' as 1000 and a fullwidth zero as 0
+        man = tmp_path / "m.txt"
+        man.write_text(row, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{man}: {message}")):
+            parse_manifest(str(man))
+
 
 class TestParseConfig:
     def test_types_and_lambda_alias(self, tmp_path):
@@ -262,6 +273,19 @@ class TestParseConfig:
     def test_bad_number_names_file_and_line(self, tmp_path, line, message):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"crop = 32\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg_file}: {message}")):
+            parse_config(str(cfg_file))
+
+    @pytest.mark.parametrize("line,message", [
+        ("lr = 1_0e-4", "line 2: bad number '1_0e-4' for lr"),
+        ("steps = 1_0", "line 2: bad integer '1_0' for steps"),
+        ("lr = \uff11e-4", "line 2: bad number '\uff11e-4' for lr"),
+        ("steps = \uff11\uff10", "line 2: bad integer '\uff11\uff10' for steps"),
+    ])
+    def test_digit_group_or_non_ascii_number_is_refused(self, tmp_path, line, message):
+        # float() reads '1_0e-4' as 0.001 and int() fullwidth digits as ASCII ones
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"crop = 32\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{cfg_file}: {message}")):
             parse_config(str(cfg_file))
 
@@ -547,9 +571,10 @@ class TestTrainLoop:
         (4, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),  # never more than the batch
         (4, {"OMP_NUM_THREADS": "2"}, 8, 2),
         (4, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 1),
-        (2, {"MKL_NUM_THREADS": "8"}, 8, 1),
+        (4, {"MKL_NUM_THREADS": "1"}, 8, 1),       # OpenBLAS ignores it
         (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 8, 2),
         (2, {"OPENBLAS_NUM_THREADS": "0"}, 8, 1),  # 0 leaves BLAS its default
+        (4, {"GOTO_NUM_THREADS": "2"}, 8, 2),
     ])
     def test_samples_run_on_the_cores_blas_leaves_free(self, tmp_path, monkeypatch,
                                                       cores, env, batch, want):

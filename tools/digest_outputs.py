@@ -15,7 +15,9 @@ Imports evlight from ``CHECKOUT/src``, writes every output under WORKDIR
 * the pairs CSV of ``align-match``;
 * ``lightup`` seeded and with ``--ckpt``, both ``snr-map`` outputs at two
   kernel/tau settings, and ``voxelize`` at the default and at 6 bins;
-* the score columns of ``eval`` (its first column holds absolute paths).
+* the score columns and exit status of ``eval`` (its first column holds
+  absolute paths), with one error row: a ``gt`` of another extent, which
+  ``psnr`` refuses with a path-free ``shape mismatch`` message.
 
 A refactor that must not change any output is checked by diffing the
 digests of two checkouts, e.g. at ``OPENBLAS_NUM_THREADS=1`` and unset:
@@ -44,13 +46,15 @@ def sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def run(cli, *argv: str) -> None:
-    """``evlight <argv>`` in this process, its echo swallowed; fails loudly."""
+def run(cli, *argv: str, expect: int = 0) -> int:
+    """``evlight <argv>`` in this process, its echo swallowed; fails loudly
+    unless it exits ``expect``. Returns the exit status."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = cli.main(list(argv))
-    if status:
+    if status != expect:
         raise SystemExit(f"evlight {' '.join(argv)} exited {status}:\n{out.getvalue()}")
+    return status
 
 
 def scene(write_image, cli, work: str, h: int, w: int,
@@ -113,10 +117,13 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
     module.save_checkpoint({k: v + 0.01 * rng.standard_normal(v.shape)
                             for k, v in state.items()}, ckpt)
 
-    # eval rows: the fixture scenes, then the enhance scenes
+    # eval rows: the fixture scenes, then the enhance scenes; after the first,
+    # an error row: scene 0 against the 48x48 scene's gt
     lines = ["\t".join([os.path.join(data, f"scene_{k}", name)
                         for name in ("low.ppm", "events.evst", "gt.ppm")] + ["0", "100000"])
              for k in range(3)]
+    lines.insert(1, lines[0].replace(os.path.join(data, "scene_0", "gt.ppm"),
+                                     os.path.join(work, "gt_48x48.ppm")))
     for h, w in EXTENTS:
         low, events, gt = scene(write_image, cli, work, h, w)
         lines.append("\t".join([low, events, gt, "0", "100000"]))
@@ -176,9 +183,11 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
     with open(eval_manifest, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     scores = os.path.join(work, "scores.csv")
-    run(cli, "eval", "--manifest", eval_manifest, "--ckpt", ckpt, "--out", scores)
+    status = run(cli, "eval", "--manifest", eval_manifest, "--ckpt", ckpt,
+                 "--out", scores, expect=1)
     with open(scores, newline="", encoding="utf-8") as f:
         columns = "\n".join(",".join(row[1:]) for row in csv.reader(f))
+    columns += f"\nexit {status}"
     out.append(("eval/score_columns",
                 hashlib.sha256(columns.encode("utf-8")).hexdigest()))
     return out
