@@ -198,6 +198,15 @@ def _cmd_fixtures(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _number(kind: str):
+    """An argparse ``type`` that reads a flag as the file readers read a
+    field (``_parse_field``): argparse names the flag it refuses."""
+    def parse(text: str):
+        return _parse_field("", "", text, kind)
+    parse.__name__ = kind
+    return parse
+
+
 def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one shared flag."""
     p = argparse.ArgumentParser(add_help=False)
@@ -208,11 +217,11 @@ def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the shared flags its body reads
     config = _flag("--config", default=None, help="flat key = value file")
-    seed = _flag("--seed", type=int, default=None)
-    bins = _flag("--bins", type=int, default=None)
-    tau = _flag("--tau", type=float, default=0.5, help="SNR-mask threshold")
-    crop = _flag("--crop", type=int, default=None)
-    lam = _flag("--lambda", dest="lam", type=float, default=None)
+    seed = _flag("--seed", type=_number("int"), default=None)
+    bins = _flag("--bins", type=_number("int"), default=None)
+    tau = _flag("--tau", type=_number("float"), default=0.5, help="SNR-mask threshold")
+    crop = _flag("--crop", type=_number("int"), default=None)
+    lam = _flag("--lambda", dest="lam", type=_number("float"), default=None)
 
     parser = argparse.ArgumentParser(
         prog="evlight",
@@ -223,17 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accumulate an event file into a voxel grid (.npy)")
     p.add_argument("--events", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--t0", type=int, default=None)
-    p.add_argument("--t1", type=int, default=None)
+    p.add_argument("--t0", type=_number("int"), default=None)
+    p.add_argument("--t1", type=_number("int"), default=None)
     p.set_defaults(func=_cmd_voxelize)
 
     p = sub.add_parser("simulate-events",
                        help="emit events from a frame pair's log changes")
     p.add_argument("--frame-a", required=True)
     p.add_argument("--frame-b", required=True)
-    p.add_argument("--t-a", type=int, default=0)
-    p.add_argument("--t-b", type=int, default=100_000)
-    p.add_argument("--theta", type=float, default=0.15)
+    p.add_argument("--t-a", type=_number("int"), default=0)
+    p.add_argument("--t-b", type=_number("int"), default=100_000)
+    p.add_argument("--theta", type=_number("float"), default=0.15)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate_events)
 
@@ -247,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snr-map", parents=[tau],
                        help="write SNR norm (PFM) and binary mask (PGM)")
     p.add_argument("--image", required=True)
-    p.add_argument("--kernel", type=int, default=5)
+    p.add_argument("--kernel", type=_number("int"), default=5)
     p.add_argument("--out-norm", required=True)
     p.add_argument("--out-binary", required=True)
     p.set_defaults(func=_cmd_snr_map)
@@ -262,13 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[config, seed, bins, crop, lam],
                        help="run the training loop")
-    p.add_argument("--tau", type=float, default=None, help="SNR-mask threshold")
+    p.add_argument("--tau", type=_number("float"), default=None,
+                   help="SNR-mask threshold")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
+    p.add_argument("--lr", type=_number("float"), default=None)
+    p.add_argument("--epochs", type=_number("int"), default=None)
+    p.add_argument("--steps", type=_number("int"), default=None)
+    p.add_argument("--batch", type=_number("int"), default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", parents=[tau],
@@ -282,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pair low/normal sequences by interval error")
     p.add_argument("--meta", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=int, default=10_000)
+    p.add_argument("--threshold", type=_number("int"), default=10_000)
     p.set_defaults(func=_cmd_align_match)
 
     p = sub.add_parser("fixtures", parents=[seed],
                        help="generate a synthetic paired corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, default=2)
-    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--count", type=_number("int"), default=2)
+    p.add_argument("--size", type=_number("int"), default=64)
     p.set_defaults(func=_cmd_fixtures)
 
     return parser

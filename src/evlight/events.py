@@ -41,7 +41,8 @@ class _BadEvent(ValueError):
 
 @dataclass(frozen=True)
 class EventStream:
-    """Time-sorted events on a sensor of the given extent."""
+    """Events sorted by t (``voxelize`` relies on it) on a sensor of the
+    given extent; each field is an int64 array."""
 
     width: int
     height: int
@@ -59,14 +60,15 @@ class EventStream:
         if n:
             if t.min() < 0:
                 raise _BadEvent("t", t, t < 0, "is negative")
-            if np.any(np.diff(t) < 0):
+            if np.any(t[1:] < t[:-1]):
                 raise ValueError("timestamps must be non-decreasing")
             sensor = f"out of bounds (sensor {self.width}x{self.height})"
             if x.min() < 0 or x.max() >= self.width:
                 raise _BadEvent("x", x, (x < 0) | (x >= self.width), sensor)
             if y.min() < 0 or y.max() >= self.height:
                 raise _BadEvent("y", y, (y < 0) | (y >= self.height), sensor)
-            if not np.all(np.abs(p) == 1):
+            # {-1,+1} is [-1, 1] without 0; no full-size temporary when it holds
+            if p.min() < -1 or p.max() > 1 or np.count_nonzero(p) < n:
                 raise _BadEvent("polarity", p, np.abs(p) != 1, "not in {-1,+1}")
         for f, vals in zip("txyp", (t, x, y, p)):
             object.__setattr__(self, f, vals)
@@ -93,7 +95,8 @@ def voxelize(stream: EventStream, bins: int = 32,
 
     Each in-window event lands at t* = (t-t0)/(t1-t0)*(bins-1) and splits
     its polarity between bins floor(t*) and floor(t*)+1. Events outside
-    the closed window [t0, t1] are ignored.
+    the closed window [t0, t1] are ignored; the stream is sorted by t, so
+    the window is one slice of its arrays, found by binary search.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
@@ -104,13 +107,12 @@ def voxelize(stream: EventStream, bins: int = 32,
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0},{t1}]")
     grid = np.zeros(bins * stream.height * stream.width, dtype=np.float64)
-    if len(stream):
-        keep = (stream.t >= t0) & (stream.t <= t1)
-        if np.any(keep):
-            tstar = (stream.t[keep] - t0) / float(t1 - t0) * (bins - 1)
-            _k.voxel_deposit(grid, tstar, stream.x[keep], stream.y[keep],
-                             stream.p[keep].astype(np.float64), bins,
-                             stream.height, stream.width)
+    win = slice(np.searchsorted(stream.t, t0, "left"),
+                np.searchsorted(stream.t, t1, "right"))
+    tstar = (stream.t[win] - t0) / float(t1 - t0) * (bins - 1)
+    _k.voxel_deposit(grid, tstar, stream.x[win], stream.y[win],
+                     stream.p[win].astype(np.float64), bins,
+                     stream.height, stream.width)
     return VoxelGrid(grid.reshape(bins, stream.height, stream.width))
 
 
@@ -134,7 +136,7 @@ def write_events(stream: EventStream, path: str) -> None:
         f.write(_MAGIC)
         f.write(struct.pack("<IHHQ", _VERSION, stream.width, stream.height,
                             len(stream)))
-        f.write(rec.tobytes())
+        f.write(rec.data)
 
 
 def _sorted_stream(width, height, t, x, y, p, refuse) -> EventStream:
@@ -239,6 +241,10 @@ def simulate_events(frame_a: np.ndarray, frame_b: np.ndarray,
     evenly spaced in (t_a, t_b]. The brightness floor keeps the log total
     without distorting ratios, so doubling a frame with theta = ln 2
     emits exactly one event per lit pixel.
+
+    Events come sorted by (t, y, x): stably by their rank among the distinct
+    timestamps, each computed once per (n, k) present; the rank is held in
+    the smallest integer type, and numpy radix-sorts keys of 16 bits or less.
     """
     if theta <= 0:
         raise ValueError("theta must be > 0")
@@ -252,17 +258,22 @@ def simulate_events(frame_a: np.ndarray, frame_b: np.ndarray,
     counts = np.floor(np.abs(delta) / theta + 1e-9).astype(np.int64)
     signs = np.where(delta >= 0, 1, -1).astype(np.int64)
     h, w = ga.shape
-    # events in row-major pixel order; k is each one's 1-based index at its pixel
     flat = np.flatnonzero(counts)
     n = counts.ravel()[flat]
-    pix = np.repeat(flat, n)
-    k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(n) - n, n)
-    # t_a + k*span//n, split so that no int64 intermediate exceeds span or n^2
-    n = np.repeat(n, n)
-    q, r = np.divmod(t_b - t_a, n)
-    t = t_a + k * q + (k * r) // n
+    # the table: for each count nu[j] present, its k = 1..nu[j] timestamps
+    # t_a + k*span//nu[j], split so that no int64 intermediate exceeds span or n^2
+    nu, which = np.unique(n, return_inverse=True)
+    start = np.cumsum(nu) - nu
+    k = np.arange(1, nu.sum() + 1) - np.repeat(start, nu)
+    nk = np.repeat(nu, nu)
+    q, r = np.divmod(t_b - t_a, nk)
+    stamps, rank = np.unique(t_a + k * q + (k * r) // nk, return_inverse=True)
+    # each event's table entry, in row-major pixel order
+    at = np.repeat(start[which] - np.cumsum(n) + n, n)
+    at += np.arange(at.size)
+    rank = rank.astype(np.min_scalar_type(stamps.size - 1))[at]
     # stable on t keeps pixel order among ties, i.e. sorted by (t, y, x)
-    order = np.argsort(t, kind="stable")
-    pix = pix[order]
+    order = np.argsort(rank, kind="stable")
+    pix = np.repeat(flat, n)[order]
     y, x = np.divmod(pix, w)
-    return EventStream(w, h, t[order], x, y, signs.ravel()[pix])
+    return EventStream(w, h, stamps[rank[order]], x, y, signs.ravel()[pix])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import string
 import time
 from dataclasses import dataclass, fields
 
@@ -182,7 +183,7 @@ def parse_manifest(path: str) -> list[SamplePair]:
     pairs = []
     with open(path, "r", encoding="utf-8") as f:
         for ln, line in enumerate(f, 1):
-            line = line.strip()
+            line = line.strip(string.whitespace)
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
@@ -226,12 +227,12 @@ def parse_config(path: str) -> TrainConfig:
     updates = {}
     with open(path, "r", encoding="utf-8") as f:
         for ln, line in enumerate(f, 1):
-            line = line.split("#")[0].strip()
+            line = line.split("#")[0].strip(string.whitespace)
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {ln}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
+            key, val = (s.strip(string.whitespace) for s in line.split("=", 1))
             if key == "lambda":
                 key = "lam"
             if key not in types:
@@ -293,8 +294,8 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
     The samples of a batch run side by side through ``T.each``, at most one
     per core that BLAS leaves free (``T.cores()``), each with its own graph;
     a sample that has two cores to itself also runs its forward pass on both
-    (``EvLightModel.forward``). Their gradients are summed in sample order,
-    so the outputs do not depend on the number of cores.
+    (``EvLightModel.forward``). Gradients are summed in sample order, each
+    group's before the next runs, so outputs do not depend on the core count.
     """
     data = _load_pairs(parse_manifest(manifest_path), config.bins, config.crop)
     os.makedirs(out_dir, exist_ok=True)
@@ -320,14 +321,17 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
         The gradients are locals, so they are freed before the next forward."""
         summed: dict = {}
         vals = []
-        # gradients add in sample order
-        for grads, v in T.each(sample_grads, samples):
-            vals.append(v)
-            for p, g in grads.items():
-                if p in summed:
-                    summed[p] += g
-                else:
-                    summed[p] = g
+        width = T.cores()
+        # gradients add in sample order, one group of at most width at a time
+        for start in range(0, len(samples), width):
+            for grads, v in T.each(sample_grads, samples[start:start + width]):
+                vals.append(v)
+                for p, g in grads.items():
+                    if p in summed:
+                        summed[p] += g
+                    else:
+                        summed[p] = g
+            grads = g = None  # the group's last dict goes before the next runs
         grads = [summed[p] if p in summed else np.zeros_like(p.data) for p in params]
         inv = 1.0 / len(samples)
         for g in grads:

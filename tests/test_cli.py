@@ -662,6 +662,25 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,refused", [
+        (["voxelize", "--events", "e.evst", "--out", "v.npy", "--t0", "1_000"],
+         "argument --t0: invalid int value: '1_000'"),
+        (["voxelize", "--events", "e.evst", "--out", "v.npy", "--t1", "\uff19\uff19"],
+         "argument --t1: invalid int value: '\uff19\uff19'"),
+        (["simulate-events", "--frame-a", "a.ppm", "--frame-b", "b.ppm",
+          "--out", "e.evst", "--theta", "0.1_5"],
+         "argument --theta: invalid float value: '0.1_5'"),
+        (["train", "--manifest", "m.txt", "--out-dir", "d", "--lr", "\uff11e-3"],
+         "argument --lr: invalid float value: '\uff11e-3'"),
+    ])
+    def test_number_flag_refused_as_the_file_readers_refuse_it(self, argv, refused,
+                                                                 capsys):
+        # int() and float() read a digit group and fullwidth digits
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert refused in capsys.readouterr().err
+
     def test_tau_from_config_file_is_honoured(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("tau = 0.3\nlr = 2e-3\n")

@@ -80,6 +80,20 @@ class TestVoxelize:
                 expect[b0 + 1, y, x] += p * frac
         assert np.allclose(g.data, expect, atol=1e-9)
 
+    def test_closed_window_matches_mask_oracle(self, rng):
+        # timestamps 0..49, each about ten times, but none in 20..29
+        t = np.sort(rng.choice(np.r_[0:20, 30:50], 400))
+        s = EventStream(6, 5, t, rng.integers(0, 6, 400), rng.integers(0, 5, 400),
+                        rng.choice([-1, 1], 400))
+        assert np.any(s.t == 10) and np.any(s.t == 30)
+        # events at t0 and at t1 kept, before t0 and after t1 dropped, and
+        # windows reaching past either end of the stream
+        for t0, t1 in ((10, 30), (0, 49), (-5, 10), (40, 60), (21, 28)):
+            got = voxelize(s, 8, t0, t1).data
+            assert np.allclose(got, _voxelize_mask(s, 8, t0, t1), atol=1e-12), (t0, t1)
+        # a window holding no events
+        assert not voxelize(s, 8, 21, 28).data.any()
+
     def test_out_of_window_ignored(self):
         s = _stream(4, 4, [[0, 0, 0, 1], [500, 1, 1, 1], [900, 2, 2, 1]])
         g = voxelize(s, 4, 100, 600)
@@ -283,6 +297,20 @@ class TestEventIO:
             assert p.read_bytes() == _write_csv_loop(s).encode("ascii")
 
 
+def _voxelize_mask(stream, bins, t0, t1):
+    """Reference grid: the events a boolean mask keeps in [t0, t1], deposited
+    one at a time."""
+    keep = (stream.t >= t0) & (stream.t <= t1)
+    grid = np.zeros((bins, stream.height, stream.width))
+    for t, x, y, p in zip(*(getattr(stream, f)[keep] for f in "txyp")):
+        ts = (t - t0) / (t1 - t0) * (bins - 1)
+        b0 = int(np.floor(ts))
+        grid[b0, y, x] += p * (1 - (ts - b0))
+        if ts > b0:
+            grid[b0 + 1, y, x] += p * (ts - b0)
+    return grid
+
+
 def _write_csv_loop(stream):
     """Reference CSV text: one formatted line per event."""
     out = "t,x,y,p\n"
@@ -353,6 +381,22 @@ class TestSimulator:
         s = simulate_events(a, b, 10, 13, 0.2)
         assert np.any(np.diff(s.t) == 0)
         _assert_same_stream(s, _simulate_loop(a, b, 10, 13, 0.2))
+
+    @pytest.mark.parametrize("top,span,lo,hi", [(12, 100_000, 1, 256),
+                                                (60, 10**6, 257, 65_536),
+                                                (480, 10**9, 65_537, None)])
+    def test_parity_at_each_rank_width(self, rng, top, span, lo, hi):
+        # every count 1..top at two pixels, so each timestamp (one per distinct
+        # fraction k/n) comes at two or more pixels; the number of distinct
+        # timestamps sets the rank's width: 8 bits, 16 bits, or more
+        counts = rng.permutation(np.tile(np.arange(1, top + 1), 2)).reshape(4, -1)
+        signs = rng.choice([-1, 1], counts.shape)
+        a = np.where(signs > 0, 0.005, 0.9)
+        b = a * np.exp(signs * (counts + 0.5) * 0.01)
+        s = simulate_events(a, b, 7, 7 + span, 0.01)
+        assert len(s) == 2 * top * (top + 1) // 2
+        assert lo <= np.unique(s.t).size <= (hi or np.inf)
+        _assert_same_stream(s, _simulate_loop(a, b, 7, 7 + span, 0.01))
 
     def test_parity_huge_span_does_not_overflow(self):
         # 2 events per pixel: a naive int64 (i+1)*span wraps at span 2**62

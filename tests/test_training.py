@@ -232,6 +232,7 @@ class TestParseManifest:
     @pytest.mark.parametrize("row,message", [
         ("a\tb\tc\t0\t1_000\n", "line 1: bad integer '1_000' for t1"),
         ("a\tb\tc\t\uff10\t10\n", "line 1: bad integer '\uff10' for t0"),
+        ("a\tb\tc\t0\t10\u00a0\n", "line 1: bad integer '10\\xa0' for t1"),
     ])
     def test_digit_group_or_non_ascii_time_is_refused(self, tmp_path, row, message):
         # int() reads '1_000' as 1000 and a fullwidth zero as 0
@@ -281,6 +282,8 @@ class TestParseConfig:
         ("steps = 1_0", "line 2: bad integer '1_0' for steps"),
         ("lr = \uff11e-4", "line 2: bad number '\uff11e-4' for lr"),
         ("steps = \uff11\uff10", "line 2: bad integer '\uff11\uff10' for steps"),
+        # str.strip() would drop the no-break space; only ASCII space is stripped
+        ("steps = \u00a010", "line 2: bad integer '\\xa010' for steps"),
     ])
     def test_digit_group_or_non_ascii_number_is_refused(self, tmp_path, line, message):
         # float() reads '1_0e-4' as 0.001 and int() fullwidth digits as ASCII ones

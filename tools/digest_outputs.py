@@ -12,6 +12,11 @@ Imports evlight from ``CHECKOUT/src``, writes every output under WORKDIR
   tau 0.5 and 0.3, with a perturbed trained checkpoint;
 * ``simulate-events`` written as CSV, and ``enhance`` reading that CSV and a
   shuffled copy of it (which the reader sorts back by t);
+* ``simulate-events`` written as EVST from a pair designed to give each
+  pixel 0 to 300 events: over a span shorter than the counts (timestamps
+  repeat) and over one long enough for about 27,000 distinct timestamps,
+  whose sort key needs 16 bits; and ``voxelize`` of each with a ``--t0``
+  and ``--t1`` cutting inside the stream at timestamps it holds;
 * the pairs CSV of ``align-match``;
 * ``lightup`` seeded and with ``--ckpt``, both ``snr-map`` outputs at two
   kernel/tau settings, and ``voxelize`` at the default and at 6 bins;
@@ -147,6 +152,26 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
         run(cli, "enhance", "--image", low, "--events", path, "--ckpt", ckpt,
             "--out", dest)
         out.append((os.path.basename(dest), sha256(dest)))
+
+    # every count 0..300 at three or four pixels; theta 0.01 turns the
+    # designed log steps (count + 1/2) * theta back into the counts
+    rng = np.random.default_rng(17)
+    counts = rng.permutation(np.arange(40 * 30) % 301).reshape(40, 30, 1)
+    signs = rng.choice([-1, 1], counts.shape)
+    frame_a = np.where(signs > 0, 0.005, 0.9)
+    pair = [os.path.join(work, f"dense_{name}.pfm") for name in "ab"]
+    write_image(pair[0], frame_a)
+    write_image(pair[1], frame_a * np.exp(signs * (counts + 0.5) * 0.01))
+    for name, t_a, t_b, t0, t1 in (("short", "10", "13", "11", "12"),
+                                   ("long", "0", "1000000", "250000", "750000")):
+        events = os.path.join(work, f"dense_{name}.evst")
+        run(cli, "simulate-events", "--frame-a", pair[0], "--frame-b", pair[1],
+            "--t-a", t_a, "--t-b", t_b, "--theta", "0.01", "--out", events)
+        grid = os.path.join(work, f"voxelize_dense_{name}.npy")
+        run(cli, "voxelize", "--events", events, "--out", grid, "--bins", "8",
+            "--t0", t0, "--t1", t1)
+        out += [(os.path.basename(events), sha256(events)),
+                (os.path.basename(grid), sha256(grid))]
 
     meta = os.path.join(work, "meta.csv")
     rng = np.random.default_rng(13)
