@@ -1,4 +1,4 @@
-"""Hot inner loops of the convolutions, the voxel deposit and the box filter.
+"""Hot kernels of the convolutions, the voxel deposit and the box filter.
 
 Each kernel is plain numpy and deterministic run to run. Callers reach them
 through the module (``_k.col2im(...)``) so a test can substitute one.
@@ -6,6 +6,7 @@ through the module (``_k.col2im(...)``) so a test can substitute one.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # the kernels are numpy only; kept because run metadata records it
 BACKEND = "numpy"
@@ -33,51 +34,41 @@ def col2im(colsg: np.ndarray, k: int, stride: int, hp: int, wp: int,
 
 
 def dwconv_forward(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    kh, kw = w.shape[:2]
-    h = xp.shape[0] - kh + 1
-    wd = xp.shape[1] - kw + 1
-    out = np.zeros((h, wd, xp.shape[2]), dtype=np.float64)
-    for ki in range(kh):
-        for kj in range(kw):
-            out += xp[ki:ki + h, kj:kj + wd, :] * w[ki, kj, :]
-    return out
+    """Valid depthwise correlation of a padded [Hp,Wp,C] input with a
+    [kh,kw,C] kernel, over its [H,W,C,kh,kw] windows in (ki, kj) tap order."""
+    return np.einsum("hwckl,klc->hwc", sliding_window_view(xp, w.shape[:2], (0, 1)), w)
 
 
 def dwconv_grad_weight(xp: np.ndarray, g: np.ndarray) -> np.ndarray:
-    h, wd, c = g.shape
-    kh, kw = xp.shape[0] - h + 1, xp.shape[1] - wd + 1
-    gw = np.zeros((kh, kw, c), dtype=np.float64)
-    for ki in range(kh):
-        for kj in range(kw):
-            gw[ki, kj, :] = np.sum(xp[ki:ki + h, kj:kj + wd, :] * g, axis=(0, 1))
-    return gw
+    """The [kh,kw,C] kernel gradient of ``dwconv_forward(xp, w)``."""
+    k = (xp.shape[0] - g.shape[0] + 1, xp.shape[1] - g.shape[1] + 1)
+    return np.einsum("hwckl,hwc->klc", sliding_window_view(xp, k, (0, 1)), g)
 
 
 def dwconv_grad_input(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of a same-size depthwise conv, on x's extent: g's windows
+    read back to front add the taps in (ki, kj) order, as a scatter would."""
     kh, kw = w.shape[:2]
-    h, wd, c = g.shape
-    gp = np.zeros((h + kh - 1, wd + kw - 1, c), dtype=np.float64)
-    for ki in range(kh):
-        for kj in range(kw):
-            gp[ki:ki + h, kj:kj + wd, :] += g * w[ki, kj, :]
-    return gp
+    gp = np.pad(g, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    windows = sliding_window_view(gp, (kh, kw), (0, 1))[:, :, :, ::-1, ::-1]
+    return np.einsum("hwckl,klc->hwc", windows, w)
 
 
 def voxel_deposit(flat: np.ndarray, tstar: np.ndarray, xs: np.ndarray,
                   ys: np.ndarray, ps: np.ndarray, bins: int,
                   height: int, width: int) -> None:
-    b0 = np.floor(tstar).astype(np.int64)
+    """Split each event's polarity between bins floor(t*) and floor(t*)+1 of
+    the flat [bins,H,W] grid; needs 0 <= t* <= bins-1. The second deposit,
+    clamped to the last bin, adds ±0.0 where t* is whole, which moves no cell."""
+    b0 = tstar.astype(np.int64)
     frac = tstar - b0
     base = ys * width + xs
-    left = (b0 >= 0) & (b0 < bins)
-    np.add.at(flat, b0[left] * height * width + base[left], ps[left] * (1.0 - frac[left]))
-    b1 = b0 + 1
-    right = (b1 < bins) & (frac > 0.0)
-    np.add.at(flat, b1[right] * height * width + base[right], ps[right] * frac[right])
+    np.add.at(flat, b0 * (height * width) + base, ps * (1.0 - frac))
+    np.add.at(flat, np.minimum(b0 + 1, bins - 1) * (height * width) + base, ps * frac)
 
 
 def box_filter(img: np.ndarray, k: int) -> np.ndarray:
     r = k // 2
     xp = np.pad(img, r, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k))
+    windows = sliding_window_view(xp, (k, k))
     return windows.mean(axis=(2, 3))

@@ -110,9 +110,8 @@ def voxelize(stream: EventStream, bins: int = 32,
     win = slice(np.searchsorted(stream.t, t0, "left"),
                 np.searchsorted(stream.t, t1, "right"))
     tstar = (stream.t[win] - t0) / float(t1 - t0) * (bins - 1)
-    _k.voxel_deposit(grid, tstar, stream.x[win], stream.y[win],
-                     stream.p[win].astype(np.float64), bins,
-                     stream.height, stream.width)
+    _k.voxel_deposit(grid, tstar, stream.x[win], stream.y[win], stream.p[win],
+                     bins, stream.height, stream.width)
     return VoxelGrid(grid.reshape(bins, stream.height, stream.width))
 
 

@@ -137,6 +137,9 @@ def _next_token(buf: bytes, pos: int, path: str) -> tuple[bytes, int]:
     start = pos
     while pos < n and not buf[pos:pos + 1].isspace():
         pos += 1
+    # each token is a number field; int() and float() would take a digit-group _
+    if b"_" in buf[start:pos]:
+        raise ImageFormatError(f"{path}: bad header number {buf[start:pos]!r}", start)
     return buf[start:pos], pos
 
 
@@ -144,9 +147,9 @@ def _parse_dim(tok: bytes, pos: int, path: str, what: str) -> int:
     try:
         v = int(tok)
     except ValueError:
-        raise ImageFormatError(f"{path}: bad {what} {tok!r}", pos) from None
+        raise ImageFormatError(f"{path}: bad {what} {tok!r}", pos - len(tok)) from None
     if not 0 < v <= 1_000_000:
-        raise ImageFormatError(f"{path}: {what} {v} out of range", pos)
+        raise ImageFormatError(f"{path}: {what} {v} out of range", pos - len(tok))
     return v
 
 
@@ -201,15 +204,15 @@ def read_image(path: str) -> np.ndarray:
     tok, pos = _next_token(buf, pos, path)
     if magic in (b"P6", b"P5"):
         if tok != b"255":
-            raise ImageFormatError(f"{path}: unsupported maxval {tok!r}", pos)
+            raise ImageFormatError(f"{path}: unsupported maxval {tok!r}", pos - len(tok))
         dtype = np.dtype(np.uint8)
     else:
         try:
             scale = float(tok)
         except ValueError:
-            raise ImageFormatError(f"{path}: bad scale {tok!r}", pos) from None
-        if scale == 0:
-            raise ImageFormatError(f"{path}: zero scale", pos)
+            scale = math.nan
+        if not math.isfinite(scale) or scale == 0:
+            raise ImageFormatError(f"{path}: bad scale {tok!r}", pos - len(tok))
         dtype = np.dtype("<f4" if scale < 0 else ">f4")
     pos += 1  # a single whitespace byte ends the header
     c = 3 if magic in (b"P6", b"PF") else 1

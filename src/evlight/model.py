@@ -71,8 +71,8 @@ class EvLightModel(Module):
         return grid / (q if q > 1e-8 else 1.0)
 
     def forward(self, img: np.ndarray, grid: np.ndarray) -> T.Tensor:
-        """I_en for an [H,W,3] image and its [H,W,bins] voxel grid, both with
-        extents divisible by 4 (``predict`` pads a ``load_sample`` pair).
+        """I_en for an [H,W,3] or [H,W,1] (repeated to RGB) image and its
+        [H,W,bins] voxel grid, extents divisible by 4 (``predict`` pads them).
 
         The holistic trunk (on this thread) and the regional (IRFS, ERFS)
         pairs run side by side through ``T.each``, then the decoder fuses
@@ -81,7 +81,7 @@ class EvLightModel(Module):
         floating-point warnings are off throughout, since each op's result,
         the SNR map and the normalized grid are checked for NaN/Inf instead.
         """
-        img = np.asarray(img, dtype=np.float64)
+        img = as_rgb(np.asarray(img, dtype=np.float64))
         if img.ndim != 3 or img.shape[2] != 3:
             raise ValueError(f"expected [H,W,3] image, got {img.shape}")
         h, w = img.shape[:2]
@@ -149,11 +149,10 @@ def infer_architecture(state: dict[str, np.ndarray]) -> tuple[int, int, int]:
 def predict(model: EvLightModel, img: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Enhanced [H,W,3] image in [0,1]; the one inference path.
 
-    Repeats a one-channel [H,W,1] image to RGB, pads the image and its
-    [H,W,bins] grid reflectively to extents divisible by 4, runs the forward
-    pass under ``no_grad``, crops back and clips.
+    Pads the image and its [H,W,bins] grid reflectively to extents divisible
+    by 4, runs the forward pass under ``no_grad``, crops back and clips.
     """
-    padded, h, w = pad_reflect(as_rgb(img), 4)
+    padded, h, w = pad_reflect(img, 4)
     with T.no_grad():
         i_en = model.forward(padded, pad_reflect(grid, 4)[0])
     return np.clip(i_en.data[:h, :w, :], 0.0, 1.0)

@@ -663,8 +663,7 @@ def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     c = x.shape[2]
     if w.shape[2] != c or b.shape != (c,):
         raise ShapeError("dwconv2d", 2, c, (w.shape[2], b.shape))
-    rh, rw = kh // 2, kw // 2
-    pads = ((rh, rh), (rw, rw), (0, 0))
+    pads = ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0))
     out = _k.dwconv_forward(np.pad(x.data, pads), w.data) + b.data
 
     def back(g, x=x, w=w, b=b):
@@ -673,8 +672,7 @@ def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accum(b, g.sum(axis=(0, 1)))
         if x.requires_grad:
-            gp = _k.dwconv_grad_input(g, w.data)
-            _accum(x, gp[rh:gp.shape[0] - rh, rw:gp.shape[1] - rw, :])
+            _accum(x, _k.dwconv_grad_input(g, w.data))
 
     return _result(out, "dwconv2d", (x, w, b), back)
 

@@ -77,7 +77,7 @@ def total_loss(en: Tensor, gt: np.ndarray, lam: float,
                phi: RandomConvFeatures | None) -> tuple[Tensor, float, float]:
     """charbonnier + lam*perceptual; returns (loss, charb value, perc value)."""
     ch = charbonnier(en, gt)
-    if lam == 0.0 or phi is None:
+    if lam == 0.0:
         return ch, ch.item(), 0.0
     pe = perceptual(en, gt, phi)
     return T.add(ch, T.mul(pe, lam)), ch.item(), pe.item()
@@ -358,9 +358,7 @@ def train(manifest_path: str, config: TrainConfig, out_dir: str,
                 if not order:
                     order = list(aug_rng.permutation(len(data)))
                 low, grid, gt = data[order.pop(0)]
-                # a crop equal to the whole sample draws no offsets
-                crop = None if low.shape[:2] == (config.crop,) * 2 else config.crop
-                samples.append(augment(low, grid, gt, aug_rng, crop,
+                samples.append(augment(low, grid, gt, aug_rng, config.crop,
                                        hflip=config.hflip, rotate=config.rotate))
             norm, batch_vals = update(samples)
             step += 1

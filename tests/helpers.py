@@ -117,3 +117,54 @@ def conv1d_same(x: T.Tensor, w: T.Tensor) -> T.Tensor:
             T._accum(x, gp[r:r + c])
 
     return T._result(out, "conv1d_same", (x, w), back)
+
+
+# The depthwise and voxel kernels as ``_kernels`` had them before each became
+# one contraction over a window view or two mask-free deposits: one
+# full-size pass per tap, and masks around both deposits. The kernels must
+# match them bit for bit with two or more channels.
+
+def dwconv_forward_loop(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    kh, kw = w.shape[:2]
+    h = xp.shape[0] - kh + 1
+    wd = xp.shape[1] - kw + 1
+    out = np.zeros((h, wd, xp.shape[2]), dtype=np.float64)
+    for ki in range(kh):
+        for kj in range(kw):
+            out += xp[ki:ki + h, kj:kj + wd, :] * w[ki, kj, :]
+    return out
+
+
+def dwconv_grad_weight_loop(xp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    h, wd, c = g.shape
+    kh, kw = xp.shape[0] - h + 1, xp.shape[1] - wd + 1
+    gw = np.zeros((kh, kw, c), dtype=np.float64)
+    for ki in range(kh):
+        for kj in range(kw):
+            gw[ki, kj, :] = np.sum(xp[ki:ki + h, kj:kj + wd, :] * g, axis=(0, 1))
+    return gw
+
+
+def dwconv_grad_input_loop(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g scattered over the taps onto the padded extent, cropped to x's."""
+    kh, kw = w.shape[:2]
+    h, wd, c = g.shape
+    gp = np.zeros((h + kh - 1, wd + kw - 1, c), dtype=np.float64)
+    for ki in range(kh):
+        for kj in range(kw):
+            gp[ki:ki + h, kj:kj + wd, :] += g * w[ki, kj, :]
+    rh, rw = kh // 2, kw // 2
+    return gp[rh:gp.shape[0] - rh, rw:gp.shape[1] - rw, :]
+
+
+def voxel_deposit_masked(flat: np.ndarray, tstar: np.ndarray, xs: np.ndarray,
+                         ys: np.ndarray, ps: np.ndarray, bins: int,
+                         height: int, width: int) -> None:
+    b0 = np.floor(tstar).astype(np.int64)
+    frac = tstar - b0
+    base = ys * width + xs
+    left = (b0 >= 0) & (b0 < bins)
+    np.add.at(flat, b0[left] * height * width + base[left], ps[left] * (1.0 - frac[left]))
+    b1 = b0 + 1
+    right = (b1 < bins) & (frac > 0.0)
+    np.add.at(flat, b1[right] * height * width + base[right], ps[right] * frac[right])

@@ -443,6 +443,25 @@ class TestTrainEval:
         assert psnr_v > 0 and -1 <= ssim_v <= 1
         assert "1/1 rows ok" in capsys.readouterr().out
 
+    def test_train_accepts_grayscale_low(self, tmp_path):
+        # the forward repeats a one-channel low to RGB, for train as for
+        # eval: a PGM low trains as the PPM holding its gray in each channel
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "1", "--size", "32"])
+        scene = tmp_path / "data" / "scene_0"
+        gray = read_image(str(scene / "low.ppm")).mean(axis=2)
+        write_image(str(scene / "low.pgm"), gray)
+        write_image(str(scene / "low.ppm"), read_image(str(scene / "low.pgm")))
+        man_path = tmp_path / "data" / "manifest.txt"
+        runs = []
+        for name in ("low.ppm", "low.pgm"):
+            man_path.write_text(man_path.read_text().replace("low.ppm", name))
+            runs.append(tmp_path / name)
+            assert main(["train", "--manifest", str(man_path), "--out-dir",
+                         str(runs[-1]), "--config", self._config_file(tmp_path)]) == 0
+        for name in ("loss.csv", "final.evlt"):
+            assert filecmp.cmp(runs[0] / name, runs[1] / name, shallow=False)
+
     def _sensor_mismatch_manifest(self, tmp_path):
         # the low image is 32x32; its events come from a 40x40 sensor
         main(["fixtures", "--out-dir", str(tmp_path / "data"),

@@ -1,5 +1,6 @@
 """Image metrics vs scalar oracles; PPM/PFM/PGM round-trips."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ class TestImageIO:
         p.write_bytes(b"P6\n# comment\n2 1\n255\n" + bytes(6))
         img = read_image(str(p))
         assert img.shape == (1, 2, 3)
+
+    @pytest.mark.parametrize("header,token", [
+        (b"P6\n1_0 1\n255\n", b"1_0"), (b"P5\n2 1_0\n255\n", b"1_0"),
+        (b"PF\n2 1\nnan\n", b"nan"), (b"Pf\n2 1\n-1_0\n", b"-1_0"),
+        (b"Pf\n2 1\n-inf\n", b"-inf"), (b"P5\n2 x1\n255\n", b"x1")])
+    def test_header_number_follows_the_field_rule(self, tmp_path, header, token):
+        # int() and float() read 1_0 as 10 and take nan and inf; every bad
+        # token is reported at its first byte
+        p = tmp_path / "h.img"
+        p.write_bytes(header + bytes(240))
+        with pytest.raises(ImageFormatError, match=re.escape(repr(token))) as e:
+            read_image(str(p))
+        assert e.value.offset == header.index(token)
 
     def test_dimension_overflow(self, tmp_path):
         p = tmp_path / "big.ppm"

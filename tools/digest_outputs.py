@@ -1,6 +1,7 @@
 """Print a SHA-256 digest of every seeded output of an evlight checkout.
 
 Usage: python tools/digest_outputs.py CHECKOUT WORKDIR
+       python tools/digest_outputs.py --compare OLD_WORKDIR NEW_WORKDIR
 
 Imports evlight from ``CHECKOUT/src``, writes every output under WORKDIR
 (which must not exist yet) through ``evlight.cli.main``, and prints one
@@ -30,6 +31,16 @@ digests of two checkouts, e.g. at ``OPENBLAS_NUM_THREADS=1`` and unset:
     python tools/digest_outputs.py old/ /tmp/d_old > old.txt
     python tools/digest_outputs.py .    /tmp/d_new > new.txt
     diff old.txt new.txt
+
+Where a change is meant to move some outputs by a rounding, the compare
+mode reads the two work dirs (each lists its outputs in ``outputs.tsv``)
+and prints, for each output whose digest differs, the largest relative
+difference max|new - old| / max|old|: per array for a ``.evlt`` checkpoint
+(read by ``load_checkpoint``), for the whole image or ``.npy`` grid (read by
+``read_image`` or ``np.load``), and ``differs`` for any other file. It reads
+them with the evlight beside this tool:
+
+    python tools/digest_outputs.py --compare /tmp/d_old /tmp/d_new
 """
 from __future__ import annotations
 
@@ -43,6 +54,8 @@ import sys
 import numpy as np
 
 EXTENTS = ((48, 48), (45, 38), (33, 47))
+# the work dir's list of outputs: one "name<TAB>path under the work dir" line each
+INDEX = "outputs.tsv"
 TAUS = (0.5, 0.3)
 
 
@@ -82,6 +95,7 @@ def scene(write_image, cli, work: str, h: int, w: int,
 
 
 def digests(checkout: str, work: str) -> list[tuple[str, str]]:
+    """Every output's (name, path), written under ``work`` with its index."""
     src = os.path.abspath(os.path.join(checkout, "src"))
     sys.path.insert(0, src)
     import evlight
@@ -99,7 +113,7 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
     for k in range(3):
         for name in ("low.ppm", "gt.ppm", "events.evst"):
             out.append((f"fixtures/scene_{k}/{name}",
-                        sha256(os.path.join(data, f"scene_{k}", name))))
+                        os.path.join(data, f"scene_{k}", name)))
 
     config = os.path.join(work, "train.cfg")
     with open(config, "w", encoding="utf-8") as f:
@@ -112,7 +126,7 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
                 "--crop", str(crop))
             for name in ("loss.csv", "final.evlt"):
                 out.append((f"train_b{batch}_c{crop}/{name}",
-                            sha256(os.path.join(run_dir, name))))
+                            os.path.join(run_dir, name)))
 
     # a trained checkpoint's head is near zero; perturb every weight so the
     # event branch shapes the enhanced image
@@ -136,11 +150,11 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
             path = os.path.join(work, f"enhance_{h}x{w}_tau{tau}.pfm")
             run(cli, "enhance", "--image", low, "--events", events, "--ckpt", ckpt,
                 "--out", path, "--tau", str(tau))
-            out.append((os.path.basename(path), sha256(path)))
+            out.append((os.path.basename(path), path))
 
     # the CSV event path: as written, and with its rows shuffled
     low, events, _ = scene(write_image, cli, work, 45, 38, "csv")
-    out.append((os.path.basename(events), sha256(events)))
+    out.append((os.path.basename(events), events))
     with open(events, encoding="ascii") as f:
         header, *rows = f.readlines()
     shuffled = os.path.join(work, "events_45x38_shuffled.csv")
@@ -151,7 +165,7 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
         dest = os.path.join(work, f"enhance_45x38_{name}.pfm")
         run(cli, "enhance", "--image", low, "--events", path, "--ckpt", ckpt,
             "--out", dest)
-        out.append((os.path.basename(dest), sha256(dest)))
+        out.append((os.path.basename(dest), dest))
 
     # every count 0..300 at three or four pixels; theta 0.01 turns the
     # designed log steps (count + 1/2) * theta back into the counts
@@ -170,8 +184,8 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
         grid = os.path.join(work, f"voxelize_dense_{name}.npy")
         run(cli, "voxelize", "--events", events, "--out", grid, "--bins", "8",
             "--t0", t0, "--t1", t1)
-        out += [(os.path.basename(events), sha256(events)),
-                (os.path.basename(grid), sha256(grid))]
+        out += [(os.path.basename(events), events),
+                (os.path.basename(grid), grid)]
 
     meta = os.path.join(work, "meta.csv")
     rng = np.random.default_rng(13)
@@ -182,27 +196,27 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
             f.write(f"s{k},{cond},{start},{start + int(rng.integers(0, 40_000))}\n")
     pairs = os.path.join(work, "align_pairs.csv")
     run(cli, "align-match", "--meta", meta, "--out", pairs)
-    out.append((os.path.basename(pairs), sha256(pairs)))
+    out.append((os.path.basename(pairs), pairs))
 
     low = os.path.join(data, "scene_0", "low.ppm")
     for name, extra in (("lightup_seed5.pfm", ("--seed", "5")),
                         ("lightup_ckpt.pfm", ("--ckpt", ckpt))):
         path = os.path.join(work, name)
         run(cli, "lightup", "--image", low, "--out", path, *extra)
-        out.append((name, sha256(path)))
+        out.append((name, path))
     for kernel, tau in (("5", "0.5"), ("3", "0.3")):
         norm = os.path.join(work, f"snr_k{kernel}_tau{tau}.pfm")
         binary = os.path.join(work, f"snr_k{kernel}_tau{tau}.pgm")
         run(cli, "snr-map", "--image", low, "--kernel", kernel, "--tau", tau,
             "--out-norm", norm, "--out-binary", binary)
-        out += [(os.path.basename(norm), sha256(norm)),
-                (os.path.basename(binary), sha256(binary))]
+        out += [(os.path.basename(norm), norm),
+                (os.path.basename(binary), binary)]
     events = os.path.join(data, "scene_0", "events.evst")
     for bins in (None, "6"):
         path = os.path.join(work, f"voxelize_{bins or 'default'}.npy")
         run(cli, "voxelize", "--events", events, "--out", path,
             *(("--bins", bins) if bins else ()))
-        out.append((os.path.basename(path), sha256(path)))
+        out.append((os.path.basename(path), path))
 
     eval_manifest = os.path.join(work, "eval_manifest.txt")
     with open(eval_manifest, "w", encoding="utf-8") as f:
@@ -212,18 +226,71 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
                  "--out", scores, expect=1)
     with open(scores, newline="", encoding="utf-8") as f:
         columns = "\n".join(",".join(row[1:]) for row in csv.reader(f))
-    columns += f"\nexit {status}"
-    out.append(("eval/score_columns",
-                hashlib.sha256(columns.encode("utf-8")).hexdigest()))
+    score_columns = os.path.join(work, "score_columns.txt")
+    with open(score_columns, "w", encoding="utf-8", newline="") as f:
+        f.write(columns + f"\nexit {status}")
+    out.append(("eval/score_columns", score_columns))
+    with open(os.path.join(work, INDEX), "w", encoding="utf-8") as f:
+        f.writelines(f"{name}\t{os.path.relpath(path, work)}\n" for name, path in out)
     return out
 
 
+def _max_rel(a: np.ndarray, b: np.ndarray) -> str:
+    """max|b - a| / max|a| (over max|b| when a is all zero), or the shapes."""
+    if a.shape != b.shape:
+        return f"shape {a.shape} vs {b.shape}"
+    scale = np.max(np.abs(a)) or np.max(np.abs(b)) or 1.0
+    return f"{np.max(np.abs(b - a)) / scale:.3e}"
+
+
+def compare(old: str, new: str) -> list[str]:
+    """One line per output of two work dirs whose digests differ, with the
+    largest relative difference of its values: per array for a checkpoint,
+    else for the image or grid; other files are named only."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    os.pardir, "src"))
+    from evlight.image import read_image
+    from evlight.module import load_checkpoint
+    readers = {".evlt": load_checkpoint, ".npy": np.load, ".pfm": read_image,
+               ".ppm": read_image, ".pgm": read_image}
+    paths = []
+    for work in (old, new):
+        with open(os.path.join(work, INDEX), encoding="utf-8") as f:
+            paths.append({name: os.path.join(work, rel) for name, rel in
+                          (line.rstrip("\n").split("\t") for line in f)})
+    lines = []
+    for name, path in paths[0].items():
+        other = paths[1].get(name)
+        if other is None:
+            lines.append(f"{name} missing from {new}")
+            continue
+        if sha256(path) == sha256(other):
+            continue
+        read = readers.get(os.path.splitext(name)[1])
+        if read is None:
+            lines.append(f"{name} differs")
+            continue
+        a, b = read(path), read(other)
+        if not isinstance(a, dict):
+            lines.append(f"{name} {_max_rel(a, b)}")
+            continue
+        for key in sorted(a.keys() | b.keys()):
+            if key not in a or key not in b:
+                lines.append(f"{name} {key} only in {old if key in a else new}")
+            elif a[key].tobytes() != b[key].tobytes():
+                lines.append(f"{name} {key} {_max_rel(a[key], b[key])}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        print("\n".join(compare(*argv[1:])))
+        return 0
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    for name, digest in digests(*argv):
-        print(f"{name} {digest}")
+    for name, path in digests(*argv):
+        print(f"{name} {sha256(path)}")
     return 0
 
 
