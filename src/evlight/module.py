@@ -7,6 +7,7 @@ little-endian so round-trips are bit-exact across platforms.
 """
 from __future__ import annotations
 
+import os
 import struct
 from typing import Iterator, Mapping
 
@@ -92,6 +93,7 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         if _read_exact(f, 4, "magic") != _MAGIC:
             raise CheckpointError("bad magic: not a checkpoint file")
         version, count = struct.unpack("<II", _read_exact(f, 8, "header"))
@@ -103,8 +105,12 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             name = _read_exact(f, nlen, "name").decode("utf-8")
             (rank,) = struct.unpack("<B", _read_exact(f, 1, "rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "extents"))
-            n = int(np.prod(shape)) if rank else 1
-            raw = _read_exact(f, 8 * n, f"data for {name}")
+            claimed = 8 * (int(np.prod(shape)) if rank else 1)
+            left = size - f.tell()
+            if claimed > left:  # refused before a buffer of that size is made
+                raise CheckpointError(f"{path}: truncated checkpoint: parameter {name} "
+                                      f"claims {claimed} bytes of data, {left} left")
+            raw = _read_exact(f, claimed, f"data for {name}")
             arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{path}: parameter {name} holds non-finite values")

@@ -23,9 +23,23 @@ cores between them and carries the caller's ``no_grad`` scope and numpy
 run side by side.
 
 :func:`backward` returns the leaf gradients as a dict and keeps them nowhere
-else, so threads can run backward over graphs that share parameters. It
-frees the tape as it goes: once a node's closure has run, the node drops its
-gradient, closure and parents, so activations are freed during the pass.
+else, so threads can run backward over graphs that share parameters.
+
+The graph is kept apart from the data. A recorded op result gets a private
+``_Node``: the keys of its parents that need a gradient and a closure from
+its gradient to theirs. A tensor's key is its node, and a leaf (a
+:class:`Parameter` or a tensor made with ``requires_grad=True``) is its own
+key and has no node. A closure keeps only the arrays its gradient formula
+reads (a saved array), and only for inputs that need a gradient: a
+convolution keeps its input for the weight gradient and its weight for the
+input gradient, ``mul`` the other operand, ``gelu`` its derivative, ``relu``
+a boolean mask, and ``add`` or ``reshape`` no array at all. No node refers
+to an op result's Tensor, so an activation no formula reads is freed as soon
+as Python drops it, and since leaves have no node the graph holds no
+reference cycle: a model and its graphs are freed by reference counting.
+:func:`backward` frees the tape as it goes: once a node's closure has run,
+the node drops its closure and parents, so saved arrays are freed during
+the pass.
 """
 from __future__ import annotations
 
@@ -62,9 +76,10 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """Immutable-by-convention float64 array node in the autodiff graph."""
+    """Immutable-by-convention float64 array; an op result that is recorded
+    in the graph holds its node (``_node``), a leaf or constant holds None."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64, order="C")
@@ -73,8 +88,7 @@ class Tensor:
         _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -101,11 +115,26 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
+class _Node:
+    """A recorded op result's place in the graph.
+
+    ``parents`` are the keys (a node, or a leaf Tensor) of the op's inputs
+    that need a gradient, in input order. ``backward(g)`` returns one entry
+    per input of the op: that input's gradient, or None for an input that
+    needs none.
+    """
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward: Callable[[np.ndarray], tuple]):
+        self.parents = parents
+        self.backward = backward
+
+
 class _ThreadState(threading.local):
     """Per-thread engine state; the class attributes are each thread's defaults."""
 
     grad_enabled = True
-    grads: dict | None = None  # the gradients of the running backward, by node
     cores = 0  # this thread's share of the cores from each(); 0: not in one
 
 
@@ -114,9 +143,9 @@ _state = _ThreadState()
 
 @contextlib.contextmanager
 def no_grad():
-    """Scope in which this thread's op results keep neither parents nor
-    backward closures. :func:`each` carries the scope into the threads it
-    starts, so their ops record no graph either."""
+    """Scope in which this thread's op results get no node, so they keep
+    neither parents nor saved arrays. :func:`each` carries the scope into
+    the threads it starts, so their ops record no graph either."""
     prev = _state.grad_enabled
     _state.grad_enabled = False
     try:
@@ -195,29 +224,37 @@ def each(fn: Callable, items: Sequence) -> list:
     return results
 
 
-def _result(data: np.ndarray, op: str, parents: Sequence[Tensor],
-            backward: Callable[[np.ndarray], None]) -> Tensor:
+def _recording(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` gets a node: an op computes arrays that
+    only its backward reads only when this holds."""
+    return _state.grad_enabled and any(t.requires_grad for t in inputs)
+
+
+def _result(data: np.ndarray, op: str, inputs: Sequence[Tensor],
+            backward: Callable[[np.ndarray], tuple]) -> Tensor:
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    if _state.grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    out._node = None
+    if _recording(*inputs):
+        out._node = _Node(tuple(t if t._node is None else t._node
+                                for t in inputs if t.requires_grad), backward)
+    out.requires_grad = out._node is not None
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    grads = _state.grads
-    prev = grads.get(t)
+def _cross(a: Tensor, b: Tensor) -> tuple:
+    """What a product op's closure keeps: a's array if b needs a gradient
+    and b's if a needs one (None otherwise), since each operand's gradient
+    reads only the other."""
+    return (a.data if b.requires_grad else None,
+            b.data if a.requires_grad else None)
+
+
+def _accum(grads: dict, key, g: np.ndarray) -> None:
+    prev = grads.get(key)
     if prev is None:
-        grads[t] = g.copy()
+        grads[key] = g.copy()
     else:
         prev += g
 
@@ -225,43 +262,40 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """The gradient of ``loss`` with respect to every leaf it reaches, by leaf.
 
-    A leaf is a node that requires grad and has no backward closure. Each
-    interior node drops its gradient, closure and parents once its closure
-    has run, so the graph is spent afterwards. Traversal order is a
-    deterministic function of graph structure, so two runs over identical
-    graphs produce bit-identical gradients.
+    Each node drops its closure and parents once its closure has run, so
+    the graph is spent afterwards. Traversal order is a deterministic
+    function of graph structure, so two runs over identical graphs produce
+    bit-identical gradients.
     """
     if loss.data.size != 1:
         raise ShapeError("backward", "all", "scalar loss", loss.data.shape)
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    if not loss.requires_grad:
+        return {}
+    root = loss if loss._node is None else loss._node
+    topo: list[_Node] = []
+    seen: set = set()
+    stack: list[tuple] = [(root, False)]
     while stack:
-        node, processed = stack.pop()
+        key, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(key)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if key in seen or isinstance(key, Tensor):  # a leaf has no parents
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in reversed(node._parents):
+        seen.add(key)
+        stack.append((key, True))
+        for p in reversed(key.parents):
             stack.append((p, False))
-    grads: dict[Tensor, np.ndarray] = {}
-    _state.grads = grads
-    try:
-        _accum(loss, np.ones_like(loss.data))
-        # pop, so a node's data is freed once its consumers are done with it
-        while topo:
-            node = topo.pop()
-            if node._backward is None:
-                continue
-            g = grads.pop(node, None)
-            if g is not None:
-                node._backward(g)
-            node._backward, node._parents = None, ()
-    finally:
-        _state.grads = None
+    grads: dict = {root: np.ones_like(loss.data)}
+    # pop, so a node's saved arrays are freed once its consumers are done
+    while topo:
+        node = topo.pop()
+        g = grads.pop(node, None)
+        if g is not None and node.backward is not None:
+            given = [gi for gi in node.backward(g) if gi is not None]
+            for key, gi in zip(node.parents, given, strict=True):
+                _accum(grads, key, gi)
+        node.backward, node.parents = None, ()
     return grads
 
 
@@ -292,44 +326,44 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     b = _operand("add", a, b)
+    na, nb, shape = a.requires_grad, b.requires_grad, b.shape
 
-    def back(g, a=a, b=b):
-        _accum(a, g)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+    def back(g):
+        return (g if na else None), (_unbroadcast(g, shape) if nb else None)
 
     return _result(a.data + b.data, "add", (a, b), back)
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _operand("sub", a, b)
+    na, nb, shape = a.requires_grad, b.requires_grad, b.shape
 
-    def back(g, a=a, b=b):
-        _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -_unbroadcast(g, b.shape))
+    def back(g):
+        return (g if na else None), (-_unbroadcast(g, shape) if nb else None)
 
     return _result(a.data - b.data, "sub", (a, b), back)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _operand("mul", a, b)
+    ad, bd = _cross(a, b)
+    shape = b.shape
 
-    def back(g, a=a, b=b):
-        _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+    def back(g):
+        return (None if bd is None else g * bd,
+                None if ad is None else _unbroadcast(g * ad, shape))
 
     return _result(a.data * b.data, "mul", (a, b), back)
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _operand("div", a, b)
+    na, bd, shape = a.requires_grad, b.data, b.shape
+    ad = a.data if b.requires_grad else None
 
-    def back(g, a=a, b=b):
-        _accum(a, g / b.data)
-        if b.requires_grad:
-            _accum(b, -_unbroadcast(g * a.data, b.shape) / b.data ** 2)
+    def back(g):
+        return ((g / bd) if na else None,
+                None if ad is None else -_unbroadcast(g * ad, shape) / bd ** 2)
 
     return _result(a.data / b.data, "div", (a, b), back)
 
@@ -338,11 +372,12 @@ def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
     """Rows lo:hi of x along axis 0."""
     if not 0 <= lo < hi <= x.shape[0]:
         raise ShapeError("slice_rows", 0, f"0 <= lo < hi <= {x.shape[0]}", (lo, hi))
+    shape = x.shape
 
-    def back(g, x=x, lo=lo, hi=hi):
-        full = np.zeros(x.shape)
+    def back(g):
+        full = np.zeros(shape)
         full[lo:hi] = g
-        _accum(x, full)
+        return (full,)
 
     return _result(np.ascontiguousarray(x.data[lo:hi]), "slice_rows", (x,), back)
 
@@ -356,10 +391,11 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
         if t.ndim != 3 or t.shape[:2] != hw:
             raise ShapeError("concat", "all", f"[H,W,C] of extent {hw}", t.shape)
     offsets = np.cumsum([0] + [t.shape[2] for t in tensors])
+    need = [t.requires_grad for t in tensors]
 
-    def back(g, tensors=tuple(tensors), offsets=offsets):
-        for i, t in enumerate(tensors):
-            _accum(t, g[:, :, offsets[i]:offsets[i + 1]])
+    def back(g):
+        return tuple(g[:, :, offsets[i]:offsets[i + 1]] if n else None
+                     for i, n in enumerate(need))
 
     return _result(np.concatenate([t.data for t in tensors], axis=2),
                    "concat", tensors, back)
@@ -370,19 +406,15 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(x: Tensor) -> Tensor:
-    def back(g, x=x):
-        _accum(x, g * (x.data > 0))
-
-    return _result(np.maximum(x.data, 0.0), "relu", (x,), back)
+    pos = x.data > 0 if _recording(x) else None
+    return _result(np.maximum(x.data, 0.0), "relu", (x,), lambda g: (g * pos,))
 
 
 def leaky_relu(x: Tensor) -> Tensor:
     """Slope 0.2 below zero."""
-    def back(g, x=x):
-        _accum(x, g * np.where(x.data > 0, 1.0, 0.2))
-
-    return _result(np.where(x.data > 0, x.data, 0.2 * x.data),
-                   "leaky_relu", (x,), back)
+    pos = x.data > 0
+    return _result(np.where(pos, x.data, 0.2 * x.data), "leaky_relu", (x,),
+                   lambda g: (g * np.where(pos, 1.0, 0.2),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -393,22 +425,17 @@ def sigmoid(x: Tensor) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     e = np.exp(xd[~pos])
     s[~pos] = e / (1.0 + e)
-
-    def back(g, x=x, s=s):
-        _accum(x, g * s * (1.0 - s))
-
-    return _result(s, "sigmoid", (x,), back)
+    return _result(s, "sigmoid", (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def gelu(x: Tensor) -> Tensor:
-    inner = _erf(x.data / math.sqrt(2.0))
-    out = 0.5 * x.data * (1.0 + inner)
-
-    def back(g, x=x, inner=inner):
-        pdf = np.exp(-0.5 * x.data ** 2) / math.sqrt(2.0 * math.pi)
-        _accum(x, g * (0.5 * (1.0 + inner) + x.data * pdf))
-
-    return _result(out, "gelu", (x,), back)
+    xd = x.data
+    inner = _erf(xd / math.sqrt(2.0))
+    d = None  # the derivative, kept in place of x
+    if _recording(x):
+        pdf = np.exp(-0.5 * xd ** 2) / math.sqrt(2.0 * math.pi)
+        d = 0.5 * (1.0 + inner) + xd * pdf
+    return _result(0.5 * xd * (1.0 + inner), "gelu", (x,), lambda g: (g * d,))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -417,9 +444,9 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
 
-    def back(g, x=x, s=s):
+    def back(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        _accum(x, s * (g - dot))
+        return (s * (g - dot),)
 
     return _result(s, "softmax", (x,), back)
 
@@ -433,16 +460,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = (x.data - mu) * inv
+    nx, ng, nb = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    gd = gamma.data
 
-    def back(g, x=x, gamma=gamma, beta=beta, inv=inv, xhat=xhat):
-        gg = g * gamma.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (gg - m1 - xhat * m2))
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
-        if beta.requires_grad:
-            _accum(beta, g.reshape(-1, g.shape[-1]).sum(axis=0))
+    def back(g):
+        gx = None
+        if nx:
+            gg = g * gd
+            m1 = gg.mean(axis=-1, keepdims=True)
+            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+            gx = inv * (gg - m1 - xhat * m2)
+        return (gx,
+                (g * xhat).reshape(-1, c).sum(axis=0) if ng else None,
+                g.reshape(-1, c).sum(axis=0) if nb else None)
 
     return _result(xhat * gamma.data + beta.data, "layer_norm",
                    (x, gamma, beta), back)
@@ -453,41 +483,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def mean(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def back(g, x=x, n=n):
-        _accum(x, np.broadcast_to(g / n, x.shape).copy())
-
-    return _result(np.asarray(x.data.mean()), "mean", (x,), back)
+    n, shape = x.data.size, x.shape
+    return _result(np.asarray(x.data.mean()), "mean", (x,),
+                   lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
 
 def absolute(x: Tensor) -> Tensor:
-    def back(g, x=x):
-        _accum(x, g * np.sign(x.data))
-
-    return _result(np.abs(x.data), "abs", (x,), back)
+    xd = x.data
+    return _result(np.abs(xd), "abs", (x,), lambda g: (g * np.sign(xd),))
 
 
 def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0):
         raise NonFiniteError("sqrt of negative value")
     r = np.sqrt(x.data)
-
-    def back(g, x=x, r=r):
-        _accum(x, g * 0.5 / r)
-
-    return _result(r, "sqrt", (x,), back)
+    return _result(r, "sqrt", (x,), lambda g: (g * 0.5 / r,))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != x.data.size:
         raise ShapeError("reshape", "all", x.data.size, shape)
-
-    def back(g, x=x):
-        _accum(x, g.reshape(x.shape))
-
-    return _result(np.ascontiguousarray(x.data.reshape(shape)), "reshape", (x,), back)
+    old = x.shape
+    return _result(np.ascontiguousarray(x.data.reshape(shape)), "reshape", (x,),
+                   lambda g: (g.reshape(old),))
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -495,11 +514,8 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError("transpose", "all", f"permutation of {x.ndim} axes", axes)
     inv = tuple(int(i) for i in np.argsort(axes))
-
-    def back(g, x=x, inv=inv):
-        _accum(x, np.ascontiguousarray(g.transpose(inv)))
-
-    return _result(np.ascontiguousarray(x.data.transpose(axes)), "transpose", (x,), back)
+    return _result(np.ascontiguousarray(x.data.transpose(axes)), "transpose", (x,),
+                   lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -508,10 +524,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul", "all", "batched 3D@3D", (a.shape, b.shape))
     if a.shape[2] != b.shape[1] or a.shape[0] != b.shape[0]:
         raise ShapeError("matmul", -1, a.shape, b.shape)
+    ad, bd = _cross(a, b)
 
-    def back(g, a=a, b=b):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+    def back(g):
+        return (None if bd is None else g @ np.swapaxes(bd, -1, -2),
+                None if ad is None else np.swapaxes(ad, -1, -2) @ g)
 
     return _result(a.data @ b.data, "matmul", (a, b), back)
 
@@ -607,21 +624,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     out = (_k.im2col(_pad(x.data, padding), k, stride, hout, wout)
            @ w.data.reshape(k * k * cin, cout) + b.data).reshape(hout, wout, cout)
 
-    def back(g, x=x, w=w, b=b):
+    xs, ws = _cross(x, w)
+    nb = b.requires_grad
+
+    def back(g):
         # the unfold is 2.25-4x the input: redo it rather than keep it alive
         gmat = g.reshape(-1, cout)
-        if w.requires_grad:
-            cols = _k.im2col(_pad(x.data, padding), k, stride, hout, wout)
-            _accum(w, (cols.T @ gmat).reshape(w.shape))
-        if b.requires_grad:
-            _accum(b, gmat.sum(axis=0))
-        if x.requires_grad:
-            gcols = np.ascontiguousarray(gmat @ w.data.reshape(k * k * cin, cout).T)
-            gp = _k.col2im(gcols, k, stride, h + 2 * padding, wd + 2 * padding,
+        gx = gw = None
+        if xs is not None:
+            cols = _k.im2col(_pad(xs, padding), k, stride, hout, wout)
+            gw = (cols.T @ gmat).reshape(k, k, cin, cout)
+            del cols  # before the input gradient's col2im buffers
+        if ws is not None:
+            gcols = np.ascontiguousarray(gmat @ ws.reshape(k * k * cin, cout).T)
+            gx = _k.col2im(gcols, k, stride, h + 2 * padding, wd + 2 * padding,
                            cin, hout, wout)
             if padding:
-                gp = gp[padding:padding + h, padding:padding + wd, :]
-            _accum(x, gp)
+                gx = gx[padding:padding + h, padding:padding + wd, :]
+        return gx, gw, (gmat.sum(axis=0) if nb else None)
 
     return _result(out, "conv2d", (x, w, b), back)
 
@@ -632,23 +652,26 @@ def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, padding: int,
     out = _mec(_pad(x.data, padding), w.data.reshape(k, k * cin, cout))
     out += b.data
 
-    def back(g, x=x, w=w, b=b):
+    xs, ws = _cross(x, w)
+    nb, shape = b.requires_grad, x.shape
+
+    def back(g):
         gmat = g.reshape(-1, cout)
-        if w.requires_grad:
+        gx = gw = None
+        if xs is not None:
             # re-pad and re-unfold band by band rather than keep either alive
             gw = np.zeros((k, k * cin, cout))
-            for h0, r, u in _bands(_pad(x.data, padding), k):
+            for h0, r, u in _bands(_pad(xs, padding), k):
                 gb = gmat[h0 * wout:(h0 + r) * wout]
                 for ki in range(k):
                     gw[ki] += u[ki * wout:(ki + r) * wout].T @ gb
-            _accum(w, gw.reshape(w.shape))
-        if b.requires_grad:
-            _accum(b, gmat.sum(axis=0))
-        if x.requires_grad:
+            gw = gw.reshape(k, k, cin, cout)
+        if ws is not None:
             # full correlation with the flipped kernel; padding g by k-1-p
             # lands it on x's extent directly
-            wf = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k, k * cout, cin)
-            _accum(x, _mec(_pad(g, k - 1 - padding), wf).reshape(x.shape))
+            wf = ws[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k, k * cout, cin)
+            gx = _mec(_pad(g, k - 1 - padding), wf).reshape(shape)
+        return gx, gw, (gmat.sum(axis=0) if nb else None)
 
     return _result(out.reshape(hout, wout, cout), "conv2d", (x, w, b), back)
 
@@ -666,13 +689,13 @@ def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     pads = ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0))
     out = _k.dwconv_forward(np.pad(x.data, pads), w.data) + b.data
 
-    def back(g, x=x, w=w, b=b):
-        if w.requires_grad:
-            _accum(w, _k.dwconv_grad_weight(np.pad(x.data, pads), g))
-        if b.requires_grad:
-            _accum(b, g.sum(axis=(0, 1)))
-        if x.requires_grad:
-            _accum(x, _k.dwconv_grad_input(g, w.data))
+    xs, ws = _cross(x, w)
+    nb = b.requires_grad
+
+    def back(g):
+        return (None if ws is None else _k.dwconv_grad_input(g, ws),
+                None if xs is None else _k.dwconv_grad_weight(np.pad(xs, pads), g),
+                g.sum(axis=(0, 1)) if nb else None)
 
     return _result(out, "dwconv2d", (x, w, b), back)
 
@@ -699,9 +722,6 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def global_avg_pool(x: Tensor) -> Tensor:
     if x.ndim != 3:
         raise ShapeError("global_avg_pool", "all", "[H,W,C]", x.shape)
-    n = x.shape[0] * x.shape[1]
-
-    def back(g, x=x, n=n):
-        _accum(x, np.broadcast_to(g / n, x.shape).copy())
-
-    return _result(x.data.mean(axis=(0, 1)), "global_avg_pool", (x,), back)
+    n, shape = x.shape[0] * x.shape[1], x.shape
+    return _result(x.data.mean(axis=(0, 1)), "global_avg_pool", (x,),
+                   lambda g: (np.broadcast_to(g / n, shape).copy(),))

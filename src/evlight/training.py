@@ -242,25 +242,24 @@ def parse_config(path: str) -> TrainConfig:
 
 
 def augment(img: np.ndarray, grid: np.ndarray, gt: np.ndarray,
-            rng: np.random.Generator, crop: int | None = None,
+            rng: np.random.Generator, crop: int,
             hflip: bool = False, rotate: bool = False
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply one random crop/flip/rotation identically to the [H,W,3] image,
-    its [H,W,bins] grid and the [H,W,3] target; returns C-contiguous copies."""
+    """Cut one random crop×crop window, then apply one random flip and
+    rotation, identically to the [H,W,3] image, its [H,W,bins] grid and the
+    [H,W,3] target; returns C-contiguous copies."""
     h, w = img.shape[:2]
     arrays = (img, grid, gt)
     if any(a.shape[:2] != (h, w) for a in arrays):
         raise ValueError("image, grid, and target extents must agree")
-    if crop is not None:
-        if crop > h or crop > w:
-            raise ValueError(f"crop {crop} exceeds extents {h}x{w}")
-        i = int(rng.integers(0, h - crop + 1))
-        j = int(rng.integers(0, w - crop + 1))
-        arrays = [a[i:i + crop, j:j + crop] for a in arrays]
-        h = w = crop
+    if crop > h or crop > w:
+        raise ValueError(f"crop {crop} exceeds extents {h}x{w}")
+    i = int(rng.integers(0, h - crop + 1))
+    j = int(rng.integers(0, w - crop + 1))
+    arrays = [a[i:i + crop, j:j + crop] for a in arrays]
     if hflip and rng.integers(0, 2):
         arrays = [a[:, ::-1] for a in arrays]
-    if rotate and h == w:
+    if rotate:
         k = int(rng.integers(0, 4))
         arrays = [np.rot90(a, k) for a in arrays]
     return tuple(np.ascontiguousarray(a) for a in arrays)

@@ -83,16 +83,15 @@ def deconv2d(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
     out = (xmat @ wmat).reshape(h, wd, 2, 2, cout).transpose(0, 2, 1, 3, 4)
     out = np.ascontiguousarray(out).reshape(2 * h, 2 * wd, cout) + b.data
 
+    need = (x.requires_grad, w.requires_grad, b.requires_grad)
+
     def back(g):
         g5 = g.reshape(h, 2, wd, 2, cout).transpose(0, 2, 1, 3, 4)
         gmat = np.ascontiguousarray(g5).reshape(h * wd, 4 * cout)
-        if x.requires_grad:
-            T._accum(x, (gmat @ wmat.T).reshape(x.shape))
-        if w.requires_grad:
-            gw = (xmat.T @ gmat).reshape(cin, 2, 2, cout).transpose(1, 2, 0, 3)
-            T._accum(w, np.ascontiguousarray(gw))
-        if b.requires_grad:
-            T._accum(b, g.sum(axis=(0, 1)))
+        gw = (xmat.T @ gmat).reshape(cin, 2, 2, cout).transpose(1, 2, 0, 3)
+        grads = ((gmat @ wmat.T).reshape(h, wd, cin), np.ascontiguousarray(gw),
+                 g.sum(axis=(0, 1)))
+        return tuple(gi if n else None for gi, n in zip(grads, need))
 
     return T._result(out, "deconv2d", (x, w, b), back)
 
@@ -107,14 +106,14 @@ def conv1d_same(x: T.Tensor, w: T.Tensor) -> T.Tensor:
     for j in range(k):
         out += w.data[j] * xp[j:j + c]
 
+    need, wd = (x.requires_grad, w.requires_grad), w.data
+
     def back(g):
-        if w.requires_grad:
-            T._accum(w, np.array([float(np.dot(g, xp[j:j + c])) for j in range(k)]))
-        if x.requires_grad:
-            gp = np.zeros(c + 2 * r)
-            for j in range(k):
-                gp[j:j + c] += w.data[j] * g
-            T._accum(x, gp[r:r + c])
+        gw = np.array([float(np.dot(g, xp[j:j + c])) for j in range(k)])
+        gp = np.zeros(c + 2 * r)
+        for j in range(k):
+            gp[j:j + c] += wd[j] * g
+        return tuple(gi if n else None for gi, n in zip((gp[r:r + c], gw), need))
 
     return T._result(out, "conv1d_same", (x, w), back)
 

@@ -1,4 +1,6 @@
 """Checkpoint format: bit-exact round-trips and mismatch diagnostics."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,18 @@ def test_truncated_payload(rng, tmp_path):
     p.write_bytes(data[:-5])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(str(p))
+
+
+def test_oversized_claim_refused_before_reading(tmp_path):
+    # a 65536x65536 head.weight claims 32 GiB of a file that holds 64 bytes
+    p = tmp_path / "huge.evlt"
+    name = b"head.weight"
+    p.write_bytes(b"EVLT" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name))
+                  + name + struct.pack("<B2I", 2, 65536, 65536) + bytes(64))
+    with pytest.raises(CheckpointError) as e:
+        load_checkpoint(str(p))
+    assert str(e.value) == (f"{p}: truncated checkpoint: parameter head.weight "
+                            f"claims {8 * 65536 ** 2} bytes of data, 64 left")
 
 
 def test_trailing_bytes(rng, tmp_path):

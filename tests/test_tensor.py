@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -82,7 +83,57 @@ class TestBackwardContract:
         assert len(grads) == 3 and all(t in grads for t in (s, w, b))
         assert all(g.shape == t.shape for t, g in grads.items())
         for t in (y, z, loss):
-            assert t._parents == () and t._backward is None
+            assert t._node.parents == () and t._node.backward is None
+
+    def test_activation_no_gradient_reads_is_freed_while_the_graph_lives(self, rng):
+        # add's gradient reads no array, so a conv output that feeds only an
+        # add goes as soon as Python drops it, before backward runs
+        x = rand_tensor(rng, (8, 10, 2))
+        w, b = rand_tensor(rng, (3, 3, 2, 3)), rand_tensor(rng, (3,))
+        c = rand_tensor(rng, (8, 10, 3))
+
+        def build():
+            y = T.conv2d(x, w, b)
+            z = T.add(y, c)
+            return y, T.mean(T.mul(z, z))
+
+        want = T.backward(build()[1])
+        y, loss = build()
+        refs = [weakref.ref(a) for a in (y.data, y.data.base) if a is not None]
+        del y
+        assert loss.requires_grad and all(r() is None for r in refs)
+        got = T.backward(loss)
+        assert set(got) == {x, w, b, c}
+        assert all(np.array_equal(got[t], want[t]) for t in want)
+
+    def test_no_closure_holds_a_tensor_or_a_node(self, rng):
+        # a graph over every op: each node refers to its parents by key
+        # only, and each closure holds arrays and shapes, never the graph
+        x = rand_tensor(rng, (8, 8, 4))
+        w, b = rand_tensor(rng, (3, 3, 4, 4)), rand_tensor(rng, (4,))
+        wd, w4 = rand_tensor(rng, (3, 3, 4)), rand_tensor(rng, (4, 4, 4, 4))
+        wu, bu = rand_tensor(rng, (2, 2, 4, 2)), rand_tensor(rng, (2,))
+        g, be = rand_tensor(rng, (6,)), rand_tensor(rng, (6,))
+        y = T.dwconv2d(T.conv2d(x, w, b), wd, b)
+        y = T.concat([y, T.deconv2d(T.conv2d(y, w4, b, 2), wu, bu)])
+        y = T.layer_norm(T.gelu(T.leaky_relu(T.relu(T.slice_rows(y, 0, 4)))), g, be)
+        y = T.sigmoid(T.mul(y, T.global_avg_pool(y)))
+        m = T.reshape(T.transpose(y, (2, 0, 1)), (6, 2, 16))
+        m = T.softmax(T.matmul(m, T.transpose(m, (0, 2, 1))))
+        loss = T.sqrt(T.add(T.mean(T.absolute(T.sub(T.div(m, 2.0), 0.3))), 1.0))
+        nodes, stack = set(), [loss._node]
+        while stack:
+            node = stack.pop()
+            if node not in nodes:
+                nodes.add(node)
+                stack.extend(p for p in node.parents if isinstance(p, T._Node))
+        assert len(nodes) >= 25
+        for node in nodes:
+            back = node.backward
+            held = list(back.__defaults__ or ()) + [c.cell_contents
+                                                    for c in back.__closure__ or ()]
+            assert not any(isinstance(v, (Tensor, T._Node)) for v in held)
+        assert set(T.backward(loss)) == {x, w, b, wd, w4, wu, bu, g, be}
 
     def test_threads_sharing_parameters_get_their_own_gradients(self):
         # more threads than cores, switching often: gradients or a no_grad
@@ -394,8 +445,8 @@ class TestConv2d:
     def test_backward_keeps_no_unfold(self, rng, k, padding):
         x = rand_tensor(rng, (16, 40, 8))
         y = T.conv2d(x, rand_tensor(rng, (k, k, 8, 8)), rand_tensor(rng, (8,)))
-        back = y._backward
-        held = list(back.__defaults__) + [c.cell_contents for c in back.__closure__ or ()]
+        back = y._node.backward
+        held = list(back.__defaults__ or ()) + [c.cell_contents for c in back.__closure__ or ()]
         arrays = [v.data if isinstance(v, Tensor) else v for v in held]
         unfold = (16 + 2 * padding) * y.shape[1] * k * 8 * 8  # bytes
         assert max(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < unfold / 2
@@ -410,13 +461,12 @@ class TestConv2d:
         else:
             w, b = rand_tensor(rng, (3, 3, 4, 6)), rand_tensor(rng, (6,))
             y = T.conv2d(x, w, b, 2 if op == "stride2" else 1)
-        back = y._backward
+        back = y._node.backward
         held = list(back.__defaults__ or ()) + [c.cell_contents for c in back.__closure__ or ()]
         inputs = (x, w, b)
+        assert not any(isinstance(v, (Tensor, T._Node)) for v in held)
         for v in held:
-            if isinstance(v, Tensor):
-                assert any(v is t for t in inputs)
-            elif isinstance(v, np.ndarray):
+            if isinstance(v, np.ndarray):
                 assert any(np.shares_memory(v, t.data) for t in inputs)
 
     def test_stride2_grad(self, rng):
@@ -569,7 +619,7 @@ class TestNoGrad:
             with T.no_grad():
                 raise RuntimeError("boom")
         y = T.mul(x, 2.0)
-        assert y.requires_grad and y._parents == (x,)
+        assert y.requires_grad and y._node.parents == (x,)
 
     def test_scope_is_per_thread(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -591,7 +641,7 @@ class TestNoGrad:
             release.set()
             t.join(10)
         assert not t.is_alive()
-        assert y.requires_grad and y._parents == (x,)
+        assert y.requires_grad and y._node.parents == (x,)
         assert seen == [False]
 
     def test_nonfinite_still_raised(self):

@@ -157,8 +157,8 @@ class TestAugment:
         return img, grid, gt
 
     def test_no_op_settings_identity(self, rng):
-        img, grid, gt = self._triplet(rng)
-        a, g, b = augment(img, grid, gt, np.random.default_rng(0))
+        img, grid, gt = self._triplet(rng, 12, 12)
+        a, g, b = augment(img, grid, gt, np.random.default_rng(0), crop=12)
         assert np.array_equal(a, img)
         assert np.array_equal(g, grid)
         assert np.array_equal(b, gt)
@@ -184,12 +184,6 @@ class TestAugment:
                 assert np.array_equal(a[:, :, 0], g[:, :, bin_idx])
             assert np.array_equal(a, b)
 
-    def test_rotation_skipped_for_non_square(self, rng):
-        img, grid, gt = self._triplet(rng, 12, 16)
-        a, g, b = augment(img, grid, gt, np.random.default_rng(1), rotate=True)
-        assert a.shape == (12, 16, 3)
-        assert np.array_equal(a, img)
-
     def test_crop_exceeding_extent(self, rng):
         img, grid, gt = self._triplet(rng, 12, 16)
         with pytest.raises(ValueError, match="crop"):
@@ -198,7 +192,7 @@ class TestAugment:
     def test_extent_mismatch(self, rng):
         img, grid, _ = self._triplet(rng, 12, 16)
         with pytest.raises(ValueError, match="agree"):
-            augment(img, grid, np.zeros((12, 12, 3)), np.random.default_rng(0))
+            augment(img, grid, np.zeros((12, 12, 3)), np.random.default_rng(0), crop=8)
 
 
 class TestParseManifest:
