@@ -412,8 +412,8 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor) -> Tensor:
     """Slope 0.2 below zero."""
-    pos = x.data > 0
-    return _result(np.where(pos, x.data, 0.2 * x.data), "leaky_relu", (x,),
+    pos = x.data > 0 if _recording(x) else None
+    return _result(np.maximum(x.data, 0.2 * x.data), "leaky_relu", (x,),
                    lambda g: (g * np.where(pos, 1.0, 0.2),))
 
 
@@ -538,8 +538,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # Stride-1 k×k convs unfold and multiply one band of rows at a time, the
-# unfold no larger than this (the 2 MiB per-core L2 of the Xeon it was tuned
-# on), so the GEMMs read it from cache instead of from memory.
+# unfold no larger than this, so the GEMMs read it from cache instead of from
+# memory. 2 MiB is one core's L2 on the 2-vCPU Xeon it was measured on (4 MiB
+# in all); the size is not tuned: bands of 256 KiB to 4 MiB timed alike there,
+# and one band for the whole input was 1.4x slower at 192x256.
 _BAND_BYTES = 2 << 20
 
 

@@ -259,6 +259,15 @@ class TestActivations:
             x.data[np.abs(x.data) < 1e-3] = 0.1
             fd_gradcheck(lambda x, op=op: T.mean(T.mul(op(x), op(x))), [x])
 
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_leaky_relu_is_bit_identical_to_the_where_formula(self, rng, recording):
+        # signed zeros, large magnitudes and subnormals included
+        extremes = [0.0, -0.0, 700.0, -700.0, 1e-310, -1e-310]
+        data = np.concatenate([rng.standard_normal(1000), extremes])
+        x = Tensor(data.copy(), requires_grad=recording)
+        want = np.where(data > 0, data, 0.2 * data)
+        assert T.leaky_relu(x).data.tobytes() == want.tobytes()
+
     def test_softmax_rows_sum_to_one(self, rng):
         x = rand_tensor(rng, (4, 7))
         s = T.softmax(x)
