@@ -102,6 +102,10 @@ class FeedForward(Module):
     """Pointwise expand-by-2, gelu, pointwise project back."""
 
     def __init__(self, rng: np.random.Generator, c: int):
+        # gelu's scipy.special (~17 MiB) loads here, not in the first forward
+        # where it would land among the activations and raise the peak
+        import scipy.special  # noqa: F401
+
         self.expand = Conv2d(rng, 1, c, 2 * c)
         self.project = Conv2d(rng, 1, 2 * c, c, zero_init=True)
 

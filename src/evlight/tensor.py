@@ -50,7 +50,6 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import _kernels as _k
 
@@ -429,8 +428,11 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
+    # not at import: the event, image and alignment commands never need scipy
+    from scipy.special import erf
+
     xd = x.data
-    inner = _erf(xd / math.sqrt(2.0))
+    inner = erf(xd / math.sqrt(2.0))
     d = None  # the derivative, kept in place of x
     if _recording(x):
         pdf = np.exp(-0.5 * xd ** 2) / math.sqrt(2.0 * math.pi)
