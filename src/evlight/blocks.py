@@ -136,9 +136,6 @@ class Hrf(Module):
 
     def forward(self, sel_img: T.Tensor, sel_ev: T.Tensor,
                 holistic: T.Tensor) -> T.Tensor:
-        if sel_img.shape != sel_ev.shape or sel_img.shape != holistic.shape:
-            raise ShapeError("hrf", "all", sel_img.shape,
-                             (sel_ev.shape, holistic.shape))
         cat = T.concat([sel_img, sel_ev, holistic])
         gate = T.sigmoid(self.f1.forward(cat))
         gated = T.mul(self.f2.forward(cat), gate)

@@ -8,6 +8,7 @@ accepted for hand-written fixtures.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ class _BadEvent(ValueError):
 @dataclass(frozen=True)
 class EventStream:
     """Events sorted by t (``voxelize`` relies on it) on a sensor of the
-    given extent; each field is an int64 array."""
+    given extent; each field is given as integers and kept as int64."""
 
     width: int
     height: int
@@ -52,8 +53,11 @@ class EventStream:
     p: np.ndarray
 
     def __post_init__(self):
-        t, x, y, p = (np.ascontiguousarray(getattr(self, f), dtype=np.int64)
-                      for f in "txyp")
+        fields = [np.asarray(getattr(self, f)) for f in "txyp"]
+        for f, vals in zip("txyp", fields):
+            if vals.dtype.kind not in "iu":
+                raise ValueError(f"event field {f} must hold integers, got {vals.dtype}")
+        t, x, y, p = (np.ascontiguousarray(vals, dtype=np.int64) for vals in fields)
         n = t.shape[0]
         if not (x.shape[0] == y.shape[0] == p.shape[0] == n):
             raise ValueError("event arrays must share one length")
@@ -245,16 +249,20 @@ def simulate_events(frame_a: np.ndarray, frame_b: np.ndarray,
     timestamps, each computed once per (n, k) present; the rank is held in
     the smallest integer type, and numpy radix-sorts keys of 16 bits or less.
     """
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be a finite number > 0, got {theta}")
     if frame_a.shape != frame_b.shape:
         raise ValueError(f"frame shapes differ: {frame_a.shape} vs {frame_b.shape}")
     if t_b <= t_a:
         raise ValueError("need t_b > t_a")
     ga, gb = to_gray(frame_a), to_gray(frame_b)
     delta = np.log(np.maximum(gb, 1e-3)) - np.log(np.maximum(ga, 1e-3))
+    mag = np.abs(delta)
+    # refused before the int64 cast; Python's float division does not warn
+    if float(mag.max(initial=0.0)) / float(theta) + 1e-9 >= 2.0 ** 63:
+        raise ValueError(f"theta={theta} gives a pixel more events than int64 holds")
     # slack absorbs rounding when a ratio lands exactly on a multiple
-    counts = np.floor(np.abs(delta) / theta + 1e-9).astype(np.int64)
+    counts = np.floor(mag / theta + 1e-9).astype(np.int64)
     signs = np.where(delta >= 0, 1, -1).astype(np.int64)
     h, w = ga.shape
     flat = np.flatnonzero(counts)

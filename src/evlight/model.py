@@ -38,6 +38,8 @@ from .module import (CheckpointError, Conv2d, Deconv2d, Module,
 class EvLightModel(Module):
     def __init__(self, rng: np.random.Generator, base_channels: int = 16,
                  heads: int = 2, bins: int = 32, tau: float = 0.5):
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError(f"tau must lie in [0, 1], got {tau}")
         c = base_channels
         self.bins = bins
         self.tau = tau
@@ -114,7 +116,7 @@ class EvLightModel(Module):
         untrusted."""
         ev_gated = T.mul(f_ev, T.Tensor(1.0 - masks[0][:, :, None]))
         x = self.fuse.forward(T.concat([f_img, ev_gated]))
-        del f_img, f_ev, ev_gated
+        del ev_gated
         x = self.enc_hfe[0].forward(x)
         x = self.enc_hfe[1].forward(self.enc_down[0].forward(x))
         return self.bottleneck.forward(self.enc_down[1].forward(x))
@@ -127,7 +129,6 @@ class EvLightModel(Module):
         selection features once its pair is made.
         """
         sel_img, sel_ev = [f_img], [f_ev]
-        del f_img, f_ev
         for s in range(2):
             sel_img.append(self.sel_img_down[s].forward(sel_img[-1]))
             sel_ev.append(self.sel_ev_down[s].forward(sel_ev[-1]))

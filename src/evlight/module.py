@@ -72,8 +72,6 @@ def save_checkpoint(state: Mapping[str, np.ndarray], path: str) -> None:
         f.write(struct.pack("<II", _VERSION, len(names)))
         for name in names:
             arr = np.asarray(state[name], dtype=np.float64)
-            if not arr.flags["C_CONTIGUOUS"]:
-                arr = np.ascontiguousarray(arr)
             nameb = name.encode("utf-8")
             if len(nameb) > 0xFFFF:
                 raise CheckpointError(f"parameter name too long: {name!r}")

@@ -1,10 +1,12 @@
-"""Shared test utilities: the central finite-difference gradient oracle and
-the hand-written convolution ops the engine now composes from others."""
+"""Shared test utilities: the central finite-difference gradient oracle, the
+hand-written convolution ops the engine now composes from others, and an
+im2col convolution that needs none of the engine's kernels."""
 from __future__ import annotations
 
 import os
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from evlight import tensor as T
 
@@ -116,6 +118,32 @@ def conv1d_same(x: T.Tensor, w: T.Tensor) -> T.Tensor:
         return tuple(gi if n else None for gi, n in zip((gp[r:r + c], gw), need))
 
     return T._result(out, "conv1d_same", (x, w), back)
+
+
+def im2col_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int,
+                gy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stride-1 conv of x zero-padded by ``padding`` as one GEMM over its
+    unfolded [Hout·Wout, k·k·Cin] windows; the input gradient scatters the
+    column gradients back over the k·k taps.
+
+    Returns (output, x-grad, w-grad, b-grad) for the loss sum(output * gy).
+    """
+    k, _, cin, cout = w.shape
+    h, wd = x.shape[:2]
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    hout, wout = xp.shape[0] - k + 1, xp.shape[1] - k + 1
+    cols = sliding_window_view(xp, (k, k), (0, 1)).transpose(0, 1, 3, 4, 2)
+    cols = cols.reshape(hout * wout, k * k * cin)
+    wmat = w.reshape(k * k * cin, cout)
+    gmat = gy.reshape(-1, cout)
+    gcols = (gmat @ wmat.T).reshape(hout, wout, k, k, cin)
+    gxp = np.zeros(xp.shape)
+    for ki in range(k):
+        for kj in range(k):
+            gxp[ki:ki + hout, kj:kj + wout] += gcols[:, :, ki, kj]
+    return ((cols @ wmat + b).reshape(hout, wout, cout),
+            gxp[padding:padding + h, padding:padding + wd],
+            (cols.T @ gmat).reshape(w.shape), gmat.sum(axis=0))
 
 
 # The depthwise and voxel kernels as ``_kernels`` had them before each became

@@ -109,6 +109,20 @@ class TestSimulateEvents:
         assert len(got) == len(direct)
         assert np.array_equal(got.t, direct.t)
 
+    @pytest.mark.parametrize("theta,refusal", [
+        ("nan", "theta must be a finite number > 0, got nan"),
+        ("1e-300", "theta=1e-300 gives a pixel more events than int64 holds"),
+    ])
+    def test_theta_refused_naming_theta(self, tmp_path, rng, capsys, theta, refusal):
+        pa, pb = str(tmp_path / "a.pfm"), str(tmp_path / "b.pfm")
+        write_image(pa, np.full((8, 8, 3), 0.1))
+        write_image(pb, np.full((8, 8, 3), 0.2))
+        out = tmp_path / "sim.evst"
+        assert main(["simulate-events", "--frame-a", pa, "--frame-b", pb,
+                     "--out", str(out), "--theta", theta]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {refusal}"]
+        assert not out.exists()
+
 
 class TestLightupAndSnr:
     def test_lightup_writes_image(self, tmp_path, rng, capsys):
@@ -195,6 +209,24 @@ class TestEnhance:
         en = read_image(out)
         assert en.shape == (32, 32, 3)
         assert en.min() >= 0.0 and en.max() <= 1.0
+
+    @pytest.mark.parametrize("tau", ["2", "-0.5", "nan"])
+    @pytest.mark.parametrize("command", ["enhance", "eval"])
+    def test_tau_out_of_range_exits_one_before_any_work(self, tmp_path, rng, capsys,
+                                                        command, tau):
+        low_path, ev_path = _write_scene(tmp_path, rng)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{low_path}\t{ev_path}\t{low_path}\t0\t1000\n")
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt)
+        out = tmp_path / ("scores.csv" if command == "eval" else "en.pfm")
+        inputs = (["--manifest", str(manifest)] if command == "eval" else
+                  ["--image", low_path, "--events", ev_path])
+        assert main([command, *inputs, "--ckpt", ckpt, "--out", str(out),
+                     "--tau", tau]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: tau must lie in [0, 1], got {float(tau)}"]
+        assert not out.exists()
 
     def test_csv_value_past_int64_exits_one_naming_file_and_line(
             self, tmp_path, rng, capsys):

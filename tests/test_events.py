@@ -38,6 +38,14 @@ class TestStreamValidation:
         with pytest.raises(ValueError, match="polarity"):
             _stream(4, 4, [[0, 0, 0, 2]])
 
+    def test_non_integer_arrays_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="event field t must hold integers, "
+                                             "got float64"):
+            EventStream(4, 4, [1.7, 2.2], [0.9, 1.5], [0, 1], [1.0, -1.0])
+        z = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="event field p must hold integers, got bool"):
+            EventStream(4, 4, z, z, z, np.ones(2, dtype=bool))
+
 
 class TestVoxelize:
     def test_on_bin_event(self):
@@ -448,9 +456,19 @@ class TestSimulator:
         assert np.all(g.data == 0)
 
     def test_bad_theta(self):
-        f = np.zeros((4, 4, 3))
-        with pytest.raises(ValueError, match="theta"):
-            simulate_events(f, f, 0, 10, 0.0)
+        f = np.full((4, 4, 3), 0.1)
+        for theta in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"theta must be a finite number > 0, "
+                                                 f"got {theta}"):
+                simulate_events(f, 2 * f, 0, 10, theta)
+
+    @pytest.mark.parametrize("theta", [1e-300, 5e-324, np.float64(5e-324)])
+    def test_theta_whose_counts_do_not_fit_int64_refused(self, theta):
+        # |log 2| / theta events at every pixel, past int64 (or inf); refused
+        # before anything is allocated or cast
+        f = np.full((4, 4, 3), 0.1)
+        with pytest.raises(ValueError, match="more events than int64 holds"):
+            simulate_events(f, 2 * f, 0, 10, theta)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):

@@ -273,6 +273,11 @@ class TestForwardValidation:
             model.forward(rng.uniform(0, 1, (16, 12, 3)),
                           rng.standard_normal((4, 16, 12)))
 
+    @pytest.mark.parametrize("tau", [7.0, -0.1, float("nan")])
+    def test_tau_outside_unit_interval_refused_at_construction(self, tau):
+        with pytest.raises(ValueError, match=rf"tau must lie in \[0, 1\], got {tau}"):
+            _small_model(tau=tau)
+
     def test_non_rgb_rejected(self, rng):
         with pytest.raises(ValueError, match="H,W,3"):
             _small_model().forward(rng.uniform(0, 1, (16, 16)),

@@ -9,7 +9,6 @@ import weakref
 import numpy as np
 import pytest
 
-from evlight import _kernels as _k
 from evlight import tensor as T
 from evlight.tensor import NonFiniteError, Parameter, ShapeError, Tensor
 
@@ -333,26 +332,6 @@ class TestMatmulAndShaping:
             T.concat([Tensor(np.ones((2, 3, 1))), Tensor(np.ones((2, 3)))])
 
 
-def _im2col_conv_reference(x, w, b, padding, gy):
-    """Stride-1 conv via im2col + GEMM; input gradient via col2im.
-
-    Returns (output, x-grad, w-grad, b-grad) for the loss sum(output * gy).
-    """
-    k, _, cin, cout = w.shape
-    h, wd = x.shape[:2]
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    hout, wout = hp - k + 1, wp - k + 1
-    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
-    cols = _k.im2col(xp, k, 1, hout, wout)
-    wmat = w.reshape(k * k * cin, cout)
-    gmat = gy.reshape(-1, cout)
-    gxp = _k.col2im(np.ascontiguousarray(gmat @ wmat.T), k, 1, hp, wp, cin,
-                    hout, wout)
-    return ((cols @ wmat + b).reshape(hout, wout, cout),
-            gxp[padding:padding + h, padding:padding + wd],
-            (cols.T @ gmat).reshape(w.shape), gmat.sum(axis=0))
-
-
 def _conv_padded_by(x, w, b, padding, rng):
     """conv2d as if it zero-padded x by ``padding`` rather than (k-1)//2.
 
@@ -414,7 +393,7 @@ class TestConv2d:
         w = rand_tensor(rng, (k, k, cin, cout))
         b = rand_tensor(rng, (cout,))
         out, gy = _conv_padded_by(x, w, b, padding, rng)
-        ref = _im2col_conv_reference(x.data, w.data, b.data, padding, gy)
+        ref = helpers.im2col_conv(x.data, w.data, b.data, padding, gy)
         for got, want in zip(out, ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -445,7 +424,7 @@ class TestConv2d:
         b = rand_tensor(rng, (cout,))
         out, gy = _conv_padded_by(x, w, b, padding, rng)
         assert rows[0] == [band] * (hout // band) + [hout % band] * (hout % band > 0)
-        ref = _im2col_conv_reference(x.data, w.data, b.data, padding, gy)
+        ref = helpers.im2col_conv(x.data, w.data, b.data, padding, gy)
         for got, want in zip(out, ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
