@@ -41,7 +41,7 @@ class EcaResidual(Module):
         mixed = T.dwconv2d(pooled, T.reshape(self.eca_weight, (1, 3, 1)),
                            T.Tensor(np.zeros(1)))
         gate = T.sigmoid(T.add(T.reshape(mixed, (c,)), self.eca_bias))
-        return T.add(x, T.mul(h, gate))
+        return T.gated_add(h, gate, x)
 
 
 class RegionalSelect(Module):
@@ -68,8 +68,8 @@ class ChannelAttention(Module):
     """Transposed multi-head self-attention over the channel axis.
 
     Q, K, V come from a pointwise conv followed by a depthwise conv3x3;
-    each head forms a (c/heads)^2 attention matrix softmax(Q K^T / alpha)
-    with a learnable positive temperature per head.
+    ``T.channel_attention`` applies each head's (c/heads)^2 attention matrix
+    softmax(Q^T K / alpha), with a learnable temperature per head, to V.
     """
 
     def __init__(self, rng: np.random.Generator, c: int, heads: int):
@@ -83,19 +83,8 @@ class ChannelAttention(Module):
         self.proj = Conv2d(rng, 1, c, c, zero_init=True)
 
     def forward(self, x: T.Tensor) -> T.Tensor:
-        h, w, c = x.shape
-        d = c // self.heads
         qkv = self.qkv_dw.forward(self.qkv.forward(x))
-        flat = T.transpose(T.reshape(qkv, (h * w, 3 * c)), (1, 0))
-        q = T.reshape(T.slice_rows(flat, 0, c), (self.heads, d, h * w))
-        k = T.reshape(T.slice_rows(flat, c, 2 * c), (self.heads, d, h * w))
-        v = T.reshape(T.slice_rows(flat, 2 * c, 3 * c), (self.heads, d, h * w))
-        att = T.matmul(q, T.transpose(k, (0, 2, 1)))
-        temp = T.reshape(self.alpha, (self.heads, 1, 1))
-        att = T.softmax(T.div(att, temp))
-        out = T.matmul(att, v)
-        out = T.reshape(T.transpose(T.reshape(out, (c, h * w)), (1, 0)), (h, w, c))
-        return self.proj.forward(out)
+        return self.proj.forward(T.channel_attention(qkv, self.alpha, self.heads))
 
 
 class FeedForward(Module):
@@ -127,7 +116,9 @@ class Hfe(Module):
 
 
 class Hrf(Module):
-    """F3(sigmoid(F1(cat)) * F2(cat) + cat) over the concatenated inputs."""
+    """F3(sigmoid(F1(cat)) * F2(cat) + cat) over the concatenated inputs; the
+    gated residual is one ``T.gated_add`` buffer, since F3's unfold is where
+    the forward's memory peaks."""
 
     def __init__(self, rng: np.random.Generator, c: int):
         self.f1 = Conv2d(rng, 3, 3 * c, 1)
@@ -138,5 +129,4 @@ class Hrf(Module):
                 holistic: T.Tensor) -> T.Tensor:
         cat = T.concat([sel_img, sel_ev, holistic])
         gate = T.sigmoid(self.f1.forward(cat))
-        gated = T.mul(self.f2.forward(cat), gate)
-        return self.f3.forward(T.add(gated, cat))
+        return self.f3.forward(T.gated_add(self.f2.forward(cat), gate, cat))

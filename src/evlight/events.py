@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -267,6 +268,12 @@ def simulate_events(frame_a: np.ndarray, frame_b: np.ndarray,
     h, w = ga.shape
     flat = np.flatnonzero(counts)
     n = counts.ravel()[flat]
+    # exact (an int64 sum wraps); six int64 arrays per event live at the end
+    total = (int((n >> 32).sum()) << 32) + int((n & 0xFFFFFFFF).sum())
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 48 * total > memory:
+        raise ValueError(f"theta={theta} gives {total} events, which need at least "
+                         f"{48 * total} bytes; this machine has {memory}")
     # the table: for each count nu[j] present, its k = 1..nu[j] timestamps
     # t_a + k*span//nu[j], split so that no int64 intermediate exceeds span or n^2
     nu, which = np.unique(n, return_inverse=True)

@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every operation the enhancement model needs lives here, each with its own
-gradient: convolutions, pooling, layer norm, softmax, pointwise activations,
-slicing and elementwise arithmetic. The one exception is the 2x2 transposed
-convolution ``deconv2d``, composed from ``conv2d``, ``reshape``, ``transpose``
-and ``add``. A k×k ``conv2d`` zero-pads by (k-1)//2, the one padding the
-network uses. ``add``, ``sub``, ``mul`` and ``div`` share one broadcast rule:
+gradient: convolutions, pooling, layer norm, channel attention, pointwise
+activations and elementwise arithmetic. The one exception is the 2x2
+transposed convolution ``deconv2d``, composed from ``conv2d``, ``reshape``,
+``transpose`` and ``add``. A k×k ``conv2d`` zero-pads by (k-1)//2, the one
+padding the network uses. ``add``, ``sub``, ``mul`` and the gated residual
+``gated_add(a, b, s)`` = a·b + s (s of a's shape) share one broadcast rule:
 ``b`` broadcasts into ``a`` when the two are aligned on their trailing axes
 and each extent of ``b`` equals ``a``'s or is 1, so the result always has
 ``a``'s shape (a per-pixel mask is [H,W,1], a per-channel gate [C]).
@@ -355,30 +356,22 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(a.data * b.data, "mul", (a, b), back)
 
 
-def div(a: Tensor, b) -> Tensor:
-    b = _operand("div", a, b)
-    na, bd, shape = a.requires_grad, b.data, b.shape
-    ad = a.data if b.requires_grad else None
+def gated_add(y: Tensor, g, s: Tensor) -> Tensor:
+    """y * g + s in one buffer; ``g`` broadcasts into ``y`` as in ``mul``."""
+    g = _operand("gated_add", y, g)
+    if s.shape != y.shape:
+        raise ShapeError("gated_add", "all", y.shape, s.shape)
+    yd, gd = _cross(y, g)
+    shape, ns = g.shape, s.requires_grad
 
-    def back(g):
-        return ((g / bd) if na else None,
-                None if ad is None else -_unbroadcast(g * ad, shape) / bd ** 2)
+    def back(G):
+        return (None if gd is None else G * gd,
+                None if yd is None else _unbroadcast(G * yd, shape),
+                G if ns else None)
 
-    return _result(a.data / b.data, "div", (a, b), back)
-
-
-def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows lo:hi of x along axis 0."""
-    if not 0 <= lo < hi <= x.shape[0]:
-        raise ShapeError("slice_rows", 0, f"0 <= lo < hi <= {x.shape[0]}", (lo, hi))
-    shape = x.shape
-
-    def back(g):
-        full = np.zeros(shape)
-        full[lo:hi] = g
-        return (full,)
-
-    return _result(np.ascontiguousarray(x.data[lo:hi]), "slice_rows", (x,), back)
+    out = y.data * g.data
+    out += s.data
+    return _result(out, "gated_add", (y, g, s), back)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -432,25 +425,16 @@ def gelu(x: Tensor) -> Tensor:
     from scipy.special import erf
 
     xd = x.data
-    inner = erf(xd / math.sqrt(2.0))
+    out = xd / math.sqrt(2.0)
+    erf(out, out=out)
     d = None  # the derivative, kept in place of x
     if _recording(x):
         pdf = np.exp(-0.5 * xd ** 2) / math.sqrt(2.0 * math.pi)
-        d = 0.5 * (1.0 + inner) + xd * pdf
-    return _result(0.5 * xd * (1.0 + inner), "gelu", (x,), lambda g: (g * d,))
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return _result(s, "softmax", (x,), back)
+        d = 0.5 * (1.0 + out) + xd * pdf
+    out += 1.0  # 0.5 * x * (1 + erf(x / sqrt 2)) in the one buffer; halving
+    out *= 0.5  # before x is exact here, and x * 2 cannot overflow
+    out *= xd
+    return _result(out, "gelu", (x,), lambda g: (g * d,))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -520,19 +504,44 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
                    lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched [N,m,k] @ [N,k,n]."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError("matmul", "all", "batched 3D@3D", (a.shape, b.shape))
-    if a.shape[2] != b.shape[1] or a.shape[0] != b.shape[0]:
-        raise ShapeError("matmul", -1, a.shape, b.shape)
-    ad, bd = _cross(a, b)
+def channel_attention(qkv: Tensor, alpha: Tensor, heads: int) -> Tensor:
+    """Transposed multi-head attention over the channels of [H,W,3C] ``qkv``.
+
+    Q, K and V are strided views of qkv's three [HW, C] column blocks, and a
+    head owns d = C/heads columns of each. Per head, S = QᵀK / alpha[head],
+    A = row-softmax(S) (d×d), and the head's output channels are V·Aᵀ.
+    """
+    h, w, c3 = qkv.shape
+    if c3 % 3 or c3 // 3 % heads or alpha.shape != (heads,):
+        raise ShapeError("channel_attention", -1, f"3C channels, C divisible by "
+                         f"{heads} heads, {heads} alphas", (c3, alpha.shape))
+    x, ad = qkv.data.reshape(h * w, 3, heads, c3 // 3 // heads), alpha.data
+    out = np.empty((h * w, heads, x.shape[3]))
+    saved = []  # per head: its Q, K and V views, QᵀK and A
+    for i in range(heads):
+        q, k, v = x[:, :, i].swapaxes(0, 1)
+        qk = q.T @ k
+        s = qk / ad[i]
+        a = np.exp(s - s.max(axis=-1, keepdims=True))
+        a /= a.sum(axis=-1, keepdims=True)
+        np.matmul(v, a.T, out=out[:, i])
+        saved.append((q, k, v, qk, a))
+    nx, na = qkv.requires_grad, alpha.requires_grad
 
     def back(g):
-        return (None if bd is None else g @ np.swapaxes(bd, -1, -2),
-                None if ad is None else np.swapaxes(ad, -1, -2) @ g)
+        g = g.reshape(h * w, heads, -1)
+        gx, ga = np.empty(x.shape), np.empty(heads)
+        for i, (q, k, v, qk, a) in enumerate(saved):
+            da = g[:, i].T @ v
+            ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+            ga[i] = -(ds * qk).sum() / ad[i] ** 2
+            np.matmul(g[:, i], a, out=gx[:, 2, i])
+            ds /= ad[i]
+            np.matmul(k, ds.T, out=gx[:, 0, i])
+            np.matmul(q, ds, out=gx[:, 1, i])
+        return (gx.reshape(h, w, c3) if nx else None), (ga if na else None)
 
-    return _result(a.data @ b.data, "matmul", (a, b), back)
+    return _result(out.reshape(h, w, c3 // 3), "channel_attention", (qkv, alpha), back)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared test utilities: the central finite-difference gradient oracle, the
-hand-written convolution ops the engine now composes from others, and an
-im2col convolution that needs none of the engine's kernels."""
+hand-written convolution ops the engine now composes from others, an
+im2col convolution that needs none of the engine's kernels, and an einsum
+oracle for channel attention."""
 from __future__ import annotations
 
 import os
@@ -195,3 +196,15 @@ def voxel_deposit_masked(flat: np.ndarray, tstar: np.ndarray, xs: np.ndarray,
     b1 = b0 + 1
     right = (b1 < bins) & (frac > 0.0)
     np.add.at(flat, b1[right] * height * width + base[right], ps[right] * frac[right])
+
+
+def channel_attention(qkv: np.ndarray, alpha: np.ndarray, heads: int) -> np.ndarray:
+    """``T.channel_attention`` as einsums over [heads, HW, d] copies of Q, K, V."""
+    h, w, c3 = qkv.shape
+    c = c3 // 3
+    q, k, v = (np.ascontiguousarray(qkv.reshape(h * w, 3, heads, c // heads)[:, j]
+                                    .transpose(1, 0, 2)) for j in range(3))
+    s = np.einsum("npi,npj->nij", q, k) / alpha[:, None, None]
+    a = np.exp(s - s.max(axis=-1, keepdims=True))
+    a /= a.sum(axis=-1, keepdims=True)
+    return np.einsum("npj,nij->pni", v, a).reshape(h, w, c)

@@ -136,21 +136,24 @@ class TestHfe:
             assert blk.forward(x).shape == (*hw, 4)
 
     def test_attention_rows_sum_to_one(self, rng, monkeypatch):
+        # the block's own qkv and temperatures, with V set to ones: each
+        # output channel is then a row sum of a head's attention matrix
         attn = _randomize(ChannelAttention(rng, 4, 2), rng)
         attn.alpha.data = np.abs(attn.alpha.data) + 0.5
         captured = []
-        orig = T.softmax
+        orig = T.channel_attention
 
-        def spy(x):
-            out = orig(x)
-            captured.append(out.data.copy())
-            return out
+        def spy(qkv, alpha, heads):
+            ones_v = qkv.data.copy()
+            ones_v[:, :, 8:] = 1.0
+            captured.append(orig(T.Tensor(ones_v), alpha, heads).data)
+            return orig(qkv, alpha, heads)
 
-        monkeypatch.setattr(T, "softmax", spy)
+        monkeypatch.setattr(T, "channel_attention", spy)
         attn.forward(rand_tensor(rng, (5, 5, 4), requires_grad=False))
         assert len(captured) == 1
-        assert captured[0].shape == (2, 2, 2)
-        assert np.allclose(captured[0].sum(axis=-1), 1.0, atol=1e-12)
+        assert captured[0].shape == (5, 5, 4)
+        assert np.allclose(captured[0], 1.0, atol=1e-12)
 
     def test_zeroed_projections_reduce_to_identity(self, rng):
         blk = _randomize(Hfe(rng, 4, heads=2), rng)

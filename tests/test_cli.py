@@ -124,6 +124,25 @@ class TestSimulateEvents:
         assert not out.exists()
 
 
+    def test_theta_whose_events_cannot_fit_is_refused_before_allocating(
+            self, tmp_path, capsys):
+        # 16 pixels of about 1.4e18 events each: each count fits int64, but
+        # their sum passes 2**63, where an int64 sum would wrap
+        pa, pb = str(tmp_path / "a.pfm"), str(tmp_path / "b.pfm")
+        write_image(pa, np.full((4, 4, 3), 0.2))
+        write_image(pb, np.full((4, 4, 3), 0.8))
+        out = tmp_path / "sim.evst"
+        assert main(["simulate-events", "--frame-a", pa, "--frame-b", pb,
+                     "--out", str(out), "--theta", "1e-18"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        got = re.fullmatch(r"error: theta=1e-18 gives (\d+) events, which need at "
+                           r"least (\d+) bytes; this machine has \d+", err[0])
+        assert got, err[0]
+        assert int(got[1]) > 2 ** 63 and int(got[2]) == 48 * int(got[1])
+        assert not out.exists()
+
+
 class TestLightupAndSnr:
     def test_lightup_writes_image(self, tmp_path, rng, capsys):
         low_path, _ = _write_scene(tmp_path, rng)

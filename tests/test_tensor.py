@@ -115,11 +115,12 @@ class TestBackwardContract:
         g, be = rand_tensor(rng, (6,)), rand_tensor(rng, (6,))
         y = T.dwconv2d(T.conv2d(x, w, b), wd, b)
         y = T.concat([y, T.deconv2d(T.conv2d(y, w4, b, 2), wu, bu)])
-        y = T.layer_norm(T.gelu(T.leaky_relu(T.relu(T.slice_rows(y, 0, 4)))), g, be)
-        y = T.sigmoid(T.mul(y, T.global_avg_pool(y)))
-        m = T.reshape(T.transpose(y, (2, 0, 1)), (6, 2, 16))
-        m = T.softmax(T.matmul(m, T.transpose(m, (0, 2, 1))))
-        loss = T.sqrt(T.add(T.mean(T.absolute(T.sub(T.div(m, 2.0), 0.3))), 1.0))
+        al = Tensor(rng.uniform(0.5, 2.0, 2), requires_grad=True)
+        y = T.layer_norm(T.gelu(T.leaky_relu(T.relu(y))), g, be)
+        y = T.sigmoid(T.gated_add(y, T.global_avg_pool(y), y))
+        m = T.reshape(T.transpose(y, (1, 0, 2)), (4, 16, 6))
+        m = T.channel_attention(m, al, 2)
+        loss = T.sqrt(T.add(T.mean(T.absolute(T.sub(T.mul(m, 0.5), 0.3))), 1.0))
         nodes, stack = set(), [loss._node]
         while stack:
             node = stack.pop()
@@ -132,7 +133,7 @@ class TestBackwardContract:
             held = list(back.__defaults__ or ()) + [c.cell_contents
                                                     for c in back.__closure__ or ()]
             assert not any(isinstance(v, (Tensor, T._Node)) for v in held)
-        assert set(T.backward(loss)) == {x, w, b, wd, w4, wu, bu, g, be}
+        assert set(T.backward(loss)) == {x, w, b, wd, w4, wu, bu, g, be, al}
 
     def test_threads_sharing_parameters_get_their_own_gradients(self):
         # more threads than cores, switching often: gradients or a no_grad
@@ -219,26 +220,45 @@ class TestElementwiseOps:
         fd_gradcheck(lambda x, a: T.mean(T.mul(T.mul(x, a), x)), [x, a])
 
     def test_div_per_head(self, rng):
-        x = rand_tensor(rng, (2, 3, 3))
-        alpha = Tensor(rng.uniform(0.5, 2.0, 2), requires_grad=True)
-        fd_gradcheck(lambda x, a: T.mean(T.mul(T.div(x, T.reshape(a, (2, 1, 1))), x)),
-                     [x, alpha])
+        # channel_attention divides each head's QᵀK by that head's alpha
+        qkv = rand_tensor(rng, (3, 4, 12), requires_grad=False)
+        w = rand_tensor(rng, (3, 4, 4), requires_grad=False)
+        for heads in (1, 2):
+            alpha = Tensor(rng.uniform(0.5, 2.0, heads), requires_grad=True)
+            fd_gradcheck(lambda a, heads=heads: T.mean(T.mul(
+                T.channel_attention(qkv, a, heads), w)), [alpha])
 
-    def test_div_by_number_and_middle_axis(self, rng):
-        x = rand_tensor(rng, (3, 4, 2))
-        b = Tensor(rng.uniform(0.5, 2.0, (4, 1)), requires_grad=True)
-        fd_gradcheck(lambda x, b: T.mean(T.mul(T.div(x, b), x)), [x, b])
-        assert np.array_equal(T.div(x, 4.0).data, x.data / 4.0)
+    def test_a_heads_gradient_stays_in_its_own_columns(self, rng):
+        # a loss on head 0's output channels reaches only head 0's columns
+        # of Q, K and V: columns 0:2, 6:8 and 12:14 of [Q | K | V]
+        qkv = rand_tensor(rng, (3, 4, 18))
+        alpha = Tensor(np.array([0.8, 1.1, 1.5]), requires_grad=True)
+        w = np.zeros((3, 4, 6))
+        w[:, :, :2] = rng.standard_normal((3, 4, 2))
+        grads = T.backward(sum_all(T.mul(T.channel_attention(qkv, alpha, 3), Tensor(w))))
+        own = np.zeros(18, dtype=bool)
+        own[[0, 1, 6, 7, 12, 13]] = True
+        assert np.all(grads[qkv][:, :, ~own] == 0.0)
+        assert np.all(np.abs(grads[qkv][:, :, own]).sum(axis=(0, 1)) > 0.0)
+        assert grads[alpha][0] != 0.0 and np.all(grads[alpha][1:] == 0.0)
 
-    def test_slice_rows_grad_and_bounds(self, rng):
-        x = rand_tensor(rng, (5, 3))
-        w = rand_tensor(rng, (3, 3), requires_grad=False)
-        fd_gradcheck(lambda x: T.mean(T.mul(T.slice_rows(x, 1, 4), w)), [x])
-        for lo, hi in ((2, 2), (3, 1), (-1, 2), (0, 6)):
-            with pytest.raises(ShapeError):
-                T.slice_rows(x, lo, hi)
+    @pytest.mark.parametrize("gate_shape", [(4, 5, 1), (3,)], ids=["spatial", "channel"])
+    def test_gated_add_grads(self, rng, gate_shape):
+        y, s = rand_tensor(rng, (4, 5, 3)), rand_tensor(rng, (4, 5, 3))
+        g = rand_tensor(rng, gate_shape)
+        fd_gradcheck(lambda y, g, s: T.mean(T.mul(T.gated_add(y, g, s), y)), [y, g, s])
+        # the same multiply, then the same add
+        want = T.add(T.mul(y, g), s).data
+        assert T.gated_add(y, g, s).data.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    def test_gated_add_refuses_a_residual_of_another_shape(self):
+        with pytest.raises(ShapeError):
+            T.gated_add(Tensor(np.ones((4, 5, 3))), Tensor(np.ones(3)),
+                        Tensor(np.ones((4, 5, 1))))
+
+    @pytest.mark.parametrize("op", [
+        T.add, T.sub, T.mul,
+        pytest.param(lambda a, b: T.gated_add(a, b, a), id="gated_add")])
     @pytest.mark.parametrize("a_shape,b_shape", [
         ((4, 3), (2, 4, 3)),       # b of higher rank
         ((4, 5, 3), (4, 5, 2)),    # an extent neither equal nor 1
@@ -267,19 +287,55 @@ class TestActivations:
         want = np.where(data > 0, data, 0.2 * data)
         assert T.leaky_relu(x).data.tobytes() == want.tobytes()
 
-    def test_softmax_rows_sum_to_one(self, rng):
-        x = rand_tensor(rng, (4, 7))
-        s = T.softmax(x)
-        assert np.allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_gelu_is_bit_identical_to_the_erf_formula(self, rng, recording):
+        # computed in one buffer, it halves 1 + erf before multiplying by x
+        from scipy.special import erf
 
-    def test_softmax_of_zeros_uniform(self):
-        s = T.softmax(Tensor(np.zeros((2, 5))))
-        assert np.allclose(s.data, 0.2)
+        extremes = [0.0, -0.0, 700.0, -700.0, 1e-310, -1e-310, 5e-324, -5e-324,
+                    2.2250738585072014e-308, -2.2250738585072014e-308,
+                    1.5e308, -1.5e308]
+        data = np.concatenate([rng.standard_normal(100_000), extremes])
+        want = 0.5 * data * (1.0 + erf(data / np.sqrt(2.0)))
+        with np.errstate(over="ignore"):  # the derivative squares 1.5e308
+            got = T.gelu(Tensor(data.copy(), requires_grad=recording))
+        assert got.requires_grad == recording
+        assert got.data.tobytes() == want.tobytes()
+
+    # the attention's row softmax, seen through channel_attention's output
+    # (helpers.channel_attention is its einsum oracle)
+
+    def test_softmax_rows_sum_to_one(self, rng):
+        # with V all ones, each output channel is a row sum of A
+        qkv = rng.standard_normal((4, 7, 12)) * 3.0
+        qkv[:, :, 8:] = 1.0
+        out = T.channel_attention(Tensor(qkv), Tensor(np.array([0.7, 1.3])), 2)
+        assert np.allclose(out.data, 1.0, atol=1e-12)
+
+    def test_softmax_of_zeros_uniform(self, rng):
+        # Q = 0 makes S = 0, so A is uniform: each output channel is the
+        # mean of its head's V channels
+        qkv = rng.standard_normal((2, 5, 12))
+        qkv[:, :, :4] = 0.0
+        out = T.channel_attention(Tensor(qkv), Tensor(np.ones(2)), 2).data
+        v = qkv[:, :, 8:].reshape(2, 5, 2, 2)
+        want = np.repeat(v.mean(axis=-1), 2, axis=-1)
+        assert np.allclose(out, want, atol=1e-14)
 
     def test_softmax_grad(self, rng):
-        x = rand_tensor(rng, (3, 4, 4))
-        w = rand_tensor(rng, (3, 4, 4))
-        fd_gradcheck(lambda x, w: T.mean(T.mul(T.softmax(x), w)), [x, w])
+        # through the softmax into Q, K and V (test_div_per_head: into alpha)
+        w = rand_tensor(rng, (3, 4, 4), requires_grad=False)
+        for heads in (1, 2):
+            qkv = rand_tensor(rng, (3, 4, 12))
+            alpha = Tensor(rng.uniform(0.5, 2.0, heads))
+            fd_gradcheck(lambda q, heads=heads, alpha=alpha: T.mean(T.mul(
+                T.channel_attention(q, alpha, heads), w)), [qkv])
+
+    def test_attention_nonfinite_result_rejected(self):
+        # QᵀK overflows to inf, and its softmax to NaN
+        qkv = Tensor(np.full((2, 2, 6), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            T.channel_attention(qkv, Tensor(np.ones(1)), 1)
 
 
 class TestLayerNorm:
@@ -302,17 +358,22 @@ class TestLayerNorm:
 
 class TestMatmulAndShaping:
     def test_matmul_batched(self, rng):
-        a = rand_tensor(rng, (2, 3, 4))
-        b = rand_tensor(rng, (2, 4, 5))
-        fd_gradcheck(lambda a, b: T.mean(T.matmul(a, b)), [a, b])
+        # every head's products against the einsum oracle
+        for heads in (1, 2, 4):
+            qkv = rng.standard_normal((5, 6, 24))
+            alpha = rng.uniform(0.5, 2.0, heads)
+            got = T.channel_attention(Tensor(qkv), Tensor(alpha), heads).data
+            want = helpers.channel_attention(qkv, alpha, heads)
+            assert got.shape == (5, 6, 8)
+            assert max_rel_err(got, want) < 1e-13
 
     def test_matmul_shape_error(self):
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 2, 3))))
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
+        with pytest.raises(ShapeError):  # 3C channels, C not divisible by heads
+            T.channel_attention(Tensor(np.ones((2, 2, 9))), Tensor(np.ones(2)), 2)
+        with pytest.raises(ShapeError):  # not 3C channels
+            T.channel_attention(Tensor(np.ones((2, 2, 8))), Tensor(np.ones(2)), 2)
+        with pytest.raises(ShapeError):  # one temperature per head
+            T.channel_attention(Tensor(np.ones((2, 2, 12))), Tensor(np.ones(3)), 2)
 
     def test_reshape_transpose_concat(self, rng):
         x = rand_tensor(rng, (2, 4, 3))
