@@ -15,12 +15,14 @@ Layout (scale s has channels C*2^s at extent H/2^s x W/2^s):
 * a zero-initialized head conv3x3 predicts a residual on top of I_lu.
 
 The regional selectors and the holistic trunk meet only in the decoder's
-fusions, so the two branches run side by side (``tensor.each``) when the
-calling thread has two cores: a worker thread runs the selection pyramid
-and the selectors while the calling thread runs the stems' fusion, encoder
-and bottleneck; the decoder starts once both are done. With one core both
-run in turn on the calling thread. Threads change no arithmetic, so the
-outputs are bit-identical either way.
+fusions, so when the calling thread has two cores the forward runs in two
+phases of two branches each (``tensor.each``): first the calling thread runs
+the stems' fusion, encoder and bottleneck while a worker thread runs the
+selection pyramid and the scale-2 and scale-1 selectors; then the calling
+thread decodes scales 2 and 1 while the worker runs the scale-0 selectors.
+The full-resolution fusion and the head follow on the calling thread. With
+one core each phase's branches run in turn on the calling thread. Threads
+change no arithmetic, so the outputs are bit-identical either way.
 """
 from __future__ import annotations
 
@@ -69,17 +71,18 @@ class EvLightModel(Module):
 
     def normalize_grid(self, grid: np.ndarray) -> np.ndarray:
         """An [H,W,bins] grid scaled by its 98th-percentile magnitude."""
-        q = float(np.percentile(np.abs(grid), 98.0))
+        q = float(np.percentile(np.abs(grid), 98.0, overwrite_input=True))
         return grid / (q if q > 1e-8 else 1.0)
 
     def forward(self, img: np.ndarray, grid: np.ndarray) -> T.Tensor:
         """I_en for an [H,W,3] or [H,W,1] (repeated to RGB) image and its
         [H,W,bins] voxel grid, extents divisible by 4 (``predict`` pads them).
 
-        The holistic trunk (on this thread) and the regional (IRFS, ERFS)
-        pairs run side by side through ``T.each``, then the decoder fuses
-        each scale's pair, deepest first. Each activation is dropped after
-        its last use, so under ``no_grad`` it is freed there. numpy's
+        Two ``T.each`` phases: the holistic trunk (on this thread) beside
+        the scale-2 and scale-1 regional (IRFS, ERFS) pairs, then the
+        decoder's scales 2 and 1 (on this thread) beside the scale-0 pair;
+        the scale-0 fusion and the head end it. Each activation is dropped
+        after its last use, so under ``no_grad`` it is freed there. numpy's
         floating-point warnings are off throughout, since each op's result,
         the SNR map and the normalized grid are checked for NaN/Inf instead.
         """
@@ -101,13 +104,15 @@ class EvLightModel(Module):
 
             f_img = self.img_stem.forward(i_lu)
             f_ev = self.ev_stem.forward(T.Tensor(self.normalize_grid(grid)))
-            x, pairs = T.each(lambda branch: branch(f_img, f_ev, masks),
-                              (self._holistic, self._regional))
+            deep = T.each(lambda branch: branch(f_img, f_ev, masks),
+                          (self._holistic, self._regional))
+            x, pair = T.each(lambda branch: branch(), (
+                lambda: self._decode(deep),
+                lambda: (self.irfs[0].forward(f_img, masks[0]),
+                         self.erfs[0].forward(f_ev, masks[0]))))
             del f_img, f_ev
-            for s in (2, 1, 0):
-                x = self.hrf[s].forward(*pairs.pop(0), x)
-                if s:
-                    x = self.up[2 - s].forward(self.dec_hfe[2 - s].forward(x))
+            x = self.hrf[0].forward(*pair, x)
+            del pair
             return T.add(self.head.forward(x), i_lu)
 
     def _holistic(self, f_img: T.Tensor, f_ev: T.Tensor, masks: list[np.ndarray]
@@ -123,17 +128,28 @@ class EvLightModel(Module):
 
     def _regional(self, f_img: T.Tensor, f_ev: T.Tensor, masks: list[np.ndarray]
                   ) -> list[tuple[T.Tensor, T.Tensor]]:
-        """Each scale's (IRFS, ERFS) pair, deepest scale first.
+        """The (IRFS, ERFS) pairs of scales 2 and 1, deepest first; the
+        stems' features are scale 0's selection features.
 
-        Takes the stems' features as arguments, and drops each scale's
-        selection features once its pair is made.
+        Drops each scale's selection features once its pair is made.
         """
         sel_img, sel_ev = [f_img], [f_ev]
         for s in range(2):
             sel_img.append(self.sel_img_down[s].forward(sel_img[-1]))
             sel_ev.append(self.sel_ev_down[s].forward(sel_ev[-1]))
         return [(self.irfs[s].forward(sel_img.pop(), masks[s]),
-                 self.erfs[s].forward(sel_ev.pop(), masks[s])) for s in (2, 1, 0)]
+                 self.erfs[s].forward(sel_ev.pop(), masks[s])) for s in (2, 1)]
+
+    def _decode(self, deep: list) -> T.Tensor:
+        """Decoder scales 2 and 1, up to full resolution, from
+        ``[bottleneck, pairs]``; empties ``deep`` so each input is freed
+        after its last use."""
+        x, pairs = deep
+        deep.clear()
+        for s in (2, 1):
+            x = self.hrf[s].forward(*pairs.pop(0), x)
+            x = self.up[2 - s].forward(self.dec_hfe[2 - s].forward(x))
+        return x
 
 
 def infer_architecture(state: dict[str, np.ndarray]) -> tuple[int, int, int]:

@@ -228,12 +228,23 @@ class TestForkedForward:
             sys.setswitchinterval(interval)
         assert np.array_equal(outs[0], outs[1])
 
-    @pytest.mark.parametrize("where", ["erfs", "trunk"])
+    # (failing block, the worker's last block of that phase or None, whether
+    # the caller raises): each phase fails once on either thread, and when
+    # the caller fails its phase's worker is still busy
+    FAILURES = {
+        "erfs": (lambda m: m.erfs[1].res2, None, False),
+        "trunk": (lambda m: m.fuse, lambda m: m.erfs[1], True),
+        "irfs": (lambda m: m.irfs[0], None, False),
+        "decoder": (lambda m: m.dec_hfe[0], lambda m: m.erfs[0], True),
+    }
+
+    @pytest.mark.parametrize("where", FAILURES)
     def test_a_failure_surfaces_with_its_type_and_every_thread_ends(
             self, rng, monkeypatch, where):
         use_cores(monkeypatch, 2)
         model = self._model(rng)
-        block = model.erfs[1].res2 if where == "erfs" else model.fuse
+        get_block, get_busy, on_caller = self.FAILURES[where]
+        block, busy = get_block(model), get_busy and get_busy(model)
         failed_on = []
         failed = threading.Event()
 
@@ -242,16 +253,18 @@ class TestForkedForward:
             failed.set()
             raise T.NonFiniteError(f"{where} produced non-finite values")
 
-        last = model.erfs[0].forward
-
-        def late(*args):
-            # the worker is still busy when the trunk fails; predict must wait
-            failed.wait(5.0)
-            time.sleep(0.2)
-            return last(*args)
-
         monkeypatch.setattr(block, "forward", boom)
-        monkeypatch.setattr(model.erfs[0], "forward", late)
+        if busy:
+            last = busy.forward
+
+            def late(*args):
+                # the worker is still busy when the caller fails; predict
+                # must wait for it
+                failed.wait(5.0)
+                time.sleep(0.2)
+                return last(*args)
+
+            monkeypatch.setattr(busy, "forward", late)
         img, grid = rng.uniform(0.0, 0.3, (16, 16, 3)), _grid(rng, 4, 16, 16)
         seen = {}
 
@@ -271,8 +284,35 @@ class TestForkedForward:
         assert type(seen["error"]) is T.NonFiniteError
         assert str(seen["error"]) == f"{where} produced non-finite values"
         assert seen["after"] == seen["before"]
-        # the event selector runs on the worker, the trunk on the caller
-        assert [t == caller.ident for t in failed_on] == [where == "trunk"]
+        assert [t == caller.ident for t in failed_on] == [on_caller]
+
+    @pytest.mark.parametrize("selector", ["irfs", "erfs"])
+    def test_the_decoder_runs_beside_the_full_resolution_selectors(
+            self, rng, monkeypatch, selector):
+        use_cores(monkeypatch, 2)
+        model = self._model(rng)
+        selecting, decoding = threading.Event(), threading.Event()
+        seen, met = {}, []  # met: whether each side saw the other running
+        select, fuse = getattr(model, selector)[0].forward, model.hrf[1].forward
+
+        def slow_select(*args):
+            # returns only once the caller has started hrf[1] (or on timeout)
+            seen["select"] = threading.get_ident()
+            selecting.set()
+            met.append(decoding.wait(5.0))
+            return select(*args)
+
+        def spy_fuse(*args):
+            seen["fuse"] = threading.get_ident()
+            decoding.set()
+            met.append(selecting.wait(5.0))
+            return fuse(*args)
+
+        monkeypatch.setattr(getattr(model, selector)[0], "forward", slow_select)
+        monkeypatch.setattr(model.hrf[1], "forward", spy_fuse)
+        predict(model, rng.uniform(0.0, 0.3, (16, 16, 3)), _grid(rng, 4, 16, 16))
+        assert seen["fuse"] == threading.get_ident() != seen["select"]
+        assert met == [True, True]
 
 
 class TestForwardValidation:
