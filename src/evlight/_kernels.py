@@ -2,6 +2,8 @@
 
 Each kernel is plain numpy and deterministic run to run. Callers reach them
 through the module (``_k.col2im(...)``) so a test can substitute one.
+``im2col``/``col2im`` are the stride-2 conv's 2x2 space-to-depth and its
+inverse; the benchmark reports them under these names.
 """
 from __future__ import annotations
 
@@ -12,25 +14,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 BACKEND = "numpy"
 
 
-def im2col(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    sh, sw, sc = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(hout, wout, k, k, xp.shape[2]),
-        strides=(sh * stride, sw * stride, sh, sw, sc),
-        writeable=False,
-    )
-    return np.ascontiguousarray(windows).reshape(hout * wout, k * k * xp.shape[2])
+def im2col(xp: np.ndarray) -> np.ndarray:
+    """2x2 space-to-depth, [2H,2W,C] -> [H,W,4C]: channel (di, dj, c) of
+    pixel (y, x) is xp[2y+di, 2x+dj, c], the 2x2 stride-2 unfold."""
+    h, w, c = xp.shape
+    return np.ascontiguousarray(
+        xp.reshape(h // 2, 2, w // 2, 2, c).swapaxes(1, 2)).reshape(h // 2, w // 2, 4 * c)
 
 
-def col2im(colsg: np.ndarray, k: int, stride: int, hp: int, wp: int,
-           c: int, hout: int, wout: int) -> np.ndarray:
-    g5 = colsg.reshape(hout, wout, k, k, c)
-    gp = np.zeros((hp, wp, c), dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
-            gp[ki:ki + hout * stride:stride, kj:kj + wout * stride:stride, :] += g5[:, :, ki, kj, :]
-    return gp
+def col2im(cols: np.ndarray) -> np.ndarray:
+    """Depth-to-space: ``im2col``'s inverse and, as it only moves values, its adjoint."""
+    h, w, c = cols.shape
+    return np.ascontiguousarray(
+        cols.reshape(h, w, 2, 2, c // 4).swapaxes(1, 2)).reshape(2 * h, 2 * w, c // 4)
 
 
 def dwconv_forward(xp: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -41,8 +41,8 @@ class MatchResult:
 def match(lows: list[SequenceMeta], normals: list[SequenceMeta]) -> MatchResult:
     """Exhaustive one-to-one assignment minimizing the maximum error.
 
-    Limited to 8 sequences per side (factorial search); each id is used
-    at most once and min(#low, #normal) pairs are produced.
+    Limited to 8 sequences per side (factorial search); an id may appear
+    once per side, and min(#low, #normal) pairs are produced.
     """
     if not lows or not normals:
         raise ValueError("both sequence lists must be non-empty")
@@ -50,6 +50,9 @@ def match(lows: list[SequenceMeta], normals: list[SequenceMeta]) -> MatchResult:
         raise ValueError("exhaustive matching handles at most 8 per side")
     lows = sorted(lows, key=lambda m: m.id)
     normals = sorted(normals, key=lambda m: m.id)
+    for a, b in [*zip(lows, lows[1:]), *zip(normals, normals[1:])]:
+        if a.id == b.id:
+            raise ValueError(f"id {a.id!r} appears twice on the {a.condition} side")
     li = {m.id: interval(m) for m in lows}
     ni = {m.id: interval(m) for m in normals}
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import logging
 import os
+import string
 import sys
 from dataclasses import asdict, replace
 
@@ -171,10 +172,14 @@ def _cmd_align_match(args) -> int:
                 raise ValueError(f"{where} has too few fields")
             times = [_parse_field(where, key, row[key], "int") for key in need[2:]]
             try:
-                meta = alignment.SequenceMeta(row["id"], row["condition"].strip(), *times)
+                meta = alignment.SequenceMeta(
+                    row["id"], row["condition"].strip(string.whitespace), *times)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            (lows if meta.condition == "low" else normals).append(meta)
+            side = lows if meta.condition == "low" else normals
+            if any(m.id == meta.id for m in side):
+                raise ValueError(f"{where}: id {meta.id!r} repeats a {meta.condition} row")
+            side.append(meta)
     result = alignment.match(lows, normals)
     below = alignment.align_report(result, args.threshold)
     with open(args.out, "w", newline="", encoding="utf-8") as f:

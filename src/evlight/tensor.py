@@ -5,12 +5,12 @@ gradient: convolutions, pooling, layer norm, channel attention, pointwise
 activations and elementwise arithmetic. The one exception is the 2x2
 transposed convolution ``deconv2d``, composed from ``conv2d``, ``reshape``,
 ``transpose`` and ``add``. A k×k ``conv2d`` zero-pads by (k-1)//2, the one
-padding the network uses. ``add``, ``sub``, ``mul`` and the gated residual
-``gated_add(a, b, s)`` = a·b + s (s of a's shape) share one broadcast rule:
-``b`` broadcasts into ``a`` when the two are aligned on their trailing axes
-and each extent of ``b`` equals ``a``'s or is 1, so the result always has
-``a``'s shape (a per-pixel mask is [H,W,1], a per-channel gate [C]).
-Anything else is rejected.
+padding the network uses, with one lowering for both strides. ``add``,
+``sub``, ``mul`` and the gated residual ``gated_add(a, b, s)`` = a·b + s
+(s of a's shape) share one broadcast rule: ``b`` broadcasts into ``a``
+when the two are aligned on their trailing axes and each extent of ``b``
+equals ``a``'s or is 1, so the result always has ``a``'s shape (a
+per-pixel mask is [H,W,1], a per-channel gate [C]). Anything else is rejected.
 
 Values are float64 throughout and must stay finite; any op that produces
 NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
@@ -548,7 +548,7 @@ def channel_attention(qkv: Tensor, alpha: Tensor, heads: int) -> Tensor:
 # spatial ops
 # ---------------------------------------------------------------------------
 
-# Stride-1 k×k convs unfold and multiply one band of rows at a time, the
+# Every conv unfolds and multiplies one band of rows at a time, the
 # unfold no larger than this, so the GEMMs read it from cache instead of from
 # memory. 2 MiB is one core's L2 on the 2-vCPU Xeon it was measured on (4 MiB
 # in all); the size is not tuned: bands of 256 KiB to 4 MiB timed alike there,
@@ -600,26 +600,29 @@ def _mec(xp: np.ndarray, wrows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pad(a: np.ndarray, p: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of [H,W,C] by p; a no-op for p = 0."""
-    return np.pad(a, ((p, p), (p, p), (0, 0))) if p else a
+def _window(a: np.ndarray, p: int, h: int, w: int) -> np.ndarray:
+    """[H,W,C] ``a`` moved p rows and columns down-right, zero-filled, cut to [h,w,C]."""
+    pads = [(max(p, 0), max(n - m - p, 0)) for n, m in ((h, a.shape[0]), (w, a.shape[1]))]
+    a = np.pad(a, pads + [(0, 0)]) if any(map(any, pads)) else a
+    return a[max(-p, 0):max(-p, 0) + h, max(-p, 0):max(-p, 0) + w]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """2-D correlation on [H,W,Cin] with a [k,k,Cin,Cout] kernel, zero-padded
     by (k-1)//2: stride 1 keeps the extent for odd k, stride 2 halves an even one.
 
-    Stride 1 is lowered MEC-style, one cache-sized band of rows at a time
-    (width-only unfold, k row-shifted GEMMs; the input gradient is the same
-    lowering of the gradient with the flipped kernel). Stride 2 uses
-    im2col + GEMM and a col2im scatter.
+    Lowered MEC-style, one cache-sized band of rows at a time (width-only
+    unfold, k row-shifted GEMMs; the input gradient is the same lowering of
+    the gradient with the flipped kernel). Stride 2 is the sub-pixel identity:
+    a ceil(k/2)-tap stride-1 conv on the 2x2 space-to-depth of the padded
+    input, the kernel zero-padded to even taps and laid out alike.
     """
     if x.ndim != 3:
         raise ShapeError("conv2d", "all", "[H,W,Cin] input", x.shape)
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeError("conv2d", "all", "[k,k,Cin,Cout] weight", w.shape)
     k = w.shape[0]
-    padding = (k - 1) // 2
+    p = (k - 1) // 2
     cin, cout = w.shape[2], w.shape[3]
     if x.shape[2] != cin:
         raise ShapeError("conv2d", 2, cin, x.shape[2])
@@ -628,41 +631,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     if stride not in (1, 2):
         raise ShapeError("conv2d", "stride", "1 or 2", stride)
     h, wd = x.shape[0], x.shape[1]
-    if h + 2 * padding < k or wd + 2 * padding < k:
+    if h + 2 * p < k or wd + 2 * p < k:
         raise ShapeError("conv2d", 0, f">= kernel {k} after padding", (h, wd))
-    hout = (h + 2 * padding - k) // stride + 1
-    wout = (wd + 2 * padding - k) // stride + 1
-    if stride == 1:
-        return _conv2d_mec(x, w, b, padding, hout, wout)
-    out = (_k.im2col(_pad(x.data, padding), k, stride, hout, wout)
-           @ w.data.reshape(k * k * cin, cout) + b.data).reshape(hout, wout, cout)
+    hout, wout = ((n + 2 * p - k) // stride + 1 for n in (h, wd))
+    j = k if stride == 1 else (k + 1) // 2  # the lowered stride-1 conv's taps
+    hl, wl, cl = hout + j - 1, wout + j - 1, cin * stride * stride  # and its input's shape
 
-    xs, ws = _cross(x, w)
-    nb = b.requires_grad
+    def lower(a):
+        a = _window(a, p, stride * hl, stride * wl)
+        return a if stride == 1 else _k.im2col(a)
 
-    def back(g):
-        # the unfold is 2.25-4x the input: redo it rather than keep it alive
-        gmat = g.reshape(-1, cout)
-        gx = gw = None
-        if xs is not None:
-            cols = _k.im2col(_pad(xs, padding), k, stride, hout, wout)
-            gw = (cols.T @ gmat).reshape(k, k, cin, cout)
-            del cols  # before the input gradient's col2im buffers
-        if ws is not None:
-            gcols = np.ascontiguousarray(gmat @ ws.reshape(k * k * cin, cout).T)
-            gx = _k.col2im(gcols, k, stride, h + 2 * padding, wd + 2 * padding,
-                           cin, hout, wout)
-            if padding:
-                gx = gx[padding:padding + h, padding:padding + wd, :]
-        return gx, gw, (gmat.sum(axis=0) if nb else None)
+    def kernel(a):
+        if stride == 1:
+            return a
+        even = np.zeros((2 * j, 2 * j, cin * cout))  # np.pad takes 10x as long
+        even[:k, :k] = a.reshape(k, k, -1)
+        return _k.im2col(even).reshape(j, j, cl, cout)
 
-    return _result(out, "conv2d", (x, w, b), back)
-
-
-def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, padding: int,
-                hout: int, wout: int) -> Tensor:
-    k, _, cin, cout = w.shape
-    out = _mec(_pad(x.data, padding), w.data.reshape(k, k * cin, cout))
+    out = _mec(lower(x.data), kernel(w.data).reshape(j, j * cl, cout))
     out += b.data
 
     xs, ws = _cross(x, w)
@@ -672,18 +658,23 @@ def _conv2d_mec(x: Tensor, w: Tensor, b: Tensor, padding: int,
         gmat = g.reshape(-1, cout)
         gx = gw = None
         if xs is not None:
-            # re-pad and re-unfold band by band rather than keep either alive
-            gw = np.zeros((k, k * cin, cout))
-            for h0, r, u in _bands(_pad(xs, padding), k):
+            # re-lay and re-unfold band by band rather than keep either alive
+            gw = np.zeros((j, j * cl, cout))
+            for h0, r, u in _bands(lower(xs), j):
                 gb = gmat[h0 * wout:(h0 + r) * wout]
-                for ki in range(k):
+                for ki in range(j):
                     gw[ki] += u[ki * wout:(ki + r) * wout].T @ gb
+            if stride == 2:
+                gw = _k.col2im(gw.reshape(j, j, -1))[:k, :k]
             gw = gw.reshape(k, k, cin, cout)
         if ws is not None:
-            # full correlation with the flipped kernel; padding g by k-1-p
-            # lands it on x's extent directly
-            wf = ws[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k, k * cout, cin)
-            gx = _mec(_pad(g, k - 1 - padding), wf).reshape(shape)
+            # full correlation with the flipped kernel
+            wf = kernel(ws)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(j, j * cout, cl)
+            if stride == 1:  # g padded by k-1-p lands on x's extent directly
+                gx = _mec(_window(g, k - 1 - p, h + k - 1, wd + k - 1), wf).reshape(shape)
+            else:  # on the lowered input, then back to x's place in it
+                gl = _mec(_window(g, j - 1, hl + j - 1, wl + j - 1), wf)
+                gx = _window(_k.col2im(gl.reshape(hl, wl, cl)), -p, h, wd)
         return gx, gw, (gmat.sum(axis=0) if nb else None)
 
     return _result(out.reshape(hout, wout, cout), "conv2d", (x, w, b), back)

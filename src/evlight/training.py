@@ -276,7 +276,11 @@ def _load_pairs(pairs: list[SamplePair], bins: int, crop: int):
         if crop > min(low.shape[:2]):
             raise ValueError(f"{pair.low}: crop {crop} exceeds its extent "
                              f"{low.shape[0]}x{low.shape[1]}")
-        data.append((low, grid, read_image(pair.gt)))
+        gt = read_image(pair.gt)
+        if gt.shape[:2] != low.shape[:2]:
+            raise ValueError(f"{pair.gt}: extent {gt.shape[0]}x{gt.shape[1]} differs "
+                             f"from {pair.low}'s {low.shape[0]}x{low.shape[1]}")
+        data.append((low, grid, gt))
     return data
 
 

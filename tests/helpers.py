@@ -1,10 +1,11 @@
 """Shared test utilities: the central finite-difference gradient oracle, the
 hand-written convolution ops the engine now composes from others, an
-im2col convolution that needs none of the engine's kernels, and an einsum
-oracle for channel attention."""
+im2col convolution that needs none of the engine's kernels, an einsum
+oracle for channel attention, and what a backward closure keeps alive."""
 from __future__ import annotations
 
 import os
+import types
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -121,27 +122,41 @@ def conv1d_same(x: T.Tensor, w: T.Tensor) -> T.Tensor:
     return T._result(out, "conv1d_same", (x, w), back)
 
 
+def held_by(fn) -> list:
+    """Every value ``fn`` keeps alive through its defaults and closure cells,
+    and through those of each function among them (a nested helper's)."""
+    held, todo, seen = [], [fn], set()
+    while todo:
+        f = todo.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            kept = list(f.__defaults__ or ()) + [c.cell_contents for c in f.__closure__ or ()]
+            held += kept
+            todo += [v for v in kept if isinstance(v, types.FunctionType)]
+    return held
+
+
 def im2col_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: int,
-                gy: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Stride-1 conv of x zero-padded by ``padding`` as one GEMM over its
-    unfolded [Hout·Wout, k·k·Cin] windows; the input gradient scatters the
-    column gradients back over the k·k taps.
+                gy: np.ndarray, stride: int = 1) -> tuple[np.ndarray, ...]:
+    """Conv of x zero-padded by ``padding`` as one GEMM over its unfolded
+    [Hout·Wout, k·k·Cin] windows, every ``stride``-th one along each axis;
+    the input gradient scatters the column gradients back over the k·k taps.
 
     Returns (output, x-grad, w-grad, b-grad) for the loss sum(output * gy).
     """
     k, _, cin, cout = w.shape
     h, wd = x.shape[:2]
     xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
-    hout, wout = xp.shape[0] - k + 1, xp.shape[1] - k + 1
-    cols = sliding_window_view(xp, (k, k), (0, 1)).transpose(0, 1, 3, 4, 2)
-    cols = cols.reshape(hout * wout, k * k * cin)
+    windows = sliding_window_view(xp, (k, k), (0, 1))[::stride, ::stride]
+    hout, wout = windows.shape[:2]
+    cols = windows.transpose(0, 1, 3, 4, 2).reshape(hout * wout, k * k * cin)
     wmat = w.reshape(k * k * cin, cout)
     gmat = gy.reshape(-1, cout)
     gcols = (gmat @ wmat.T).reshape(hout, wout, k, k, cin)
     gxp = np.zeros(xp.shape)
     for ki in range(k):
         for kj in range(k):
-            gxp[ki:ki + hout, kj:kj + wout] += gcols[:, :, ki, kj]
+            gxp[ki:ki + stride * hout:stride, kj:kj + stride * wout:stride] += gcols[:, :, ki, kj]
     return ((cols @ wmat + b).reshape(hout, wout, cout),
             gxp[padding:padding + h, padding:padding + wd],
             (cols.T @ gmat).reshape(w.shape), gmat.sum(axis=0))

@@ -101,6 +101,16 @@ class TestMatch:
         with pytest.raises(ValueError, match="non-empty"):
             match([], [_normal("n", 0)])
 
+    def test_repeated_id_on_one_side_rejected(self):
+        # keyed by id, the second "a" would overwrite the first's interval
+        lows = [_low("a", 5), _low("a", 100)]
+        with pytest.raises(ValueError, match="id 'a' appears twice on the low side"):
+            match(lows, [_normal("n1", 5), _normal("n2", 100)])
+        with pytest.raises(ValueError, match="on the normal side"):
+            match([_low("a", 5)], [_normal("n", 5), _normal("n", 9)])
+        # one id on each side is no repeat
+        assert match([_low("s", 5)], [_normal("s", 5)]).max_error == 0
+
     def test_factorial_guard(self):
         lows = [_low(f"l{i}", i) for i in range(9)]
         normals = [_normal(f"n{i}", i) for i in range(9)]

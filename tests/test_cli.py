@@ -543,6 +543,18 @@ class TestTrainEval:
         assert "sensor 40x40 does not match image" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_train_rejects_a_gt_of_another_extent_before_writing(self, tmp_path, capsys):
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "1", "--size", "32"])
+        scene = tmp_path / "data" / "scene_0"
+        write_image(str(scene / "gt.ppm"), np.full((36, 40, 3), 0.5))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+                     "--out-dir", str(out_dir), "--config", self._config_file(tmp_path)]) == 1
+        assert (f"{scene / 'gt.ppm'}: extent 36x40 differs from {scene / 'low.ppm'}'s 32x32"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--batch", "0"), ("--batch", "-1"), ("--epochs", "0"),
         ("--epochs", "-2"), ("--steps", "-3"), ("--crop", "0"), ("--crop", "-4"),
@@ -654,6 +666,26 @@ class TestAlignMatch:
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 1
         assert f"error: {meta}: line 3: {message}\n" in capsys.readouterr().err
+
+    def test_repeated_id_names_file_line_and_id(self, tmp_path, capsys):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("id,condition,trajectory_start,first_frame\n"
+                        "a,low,0,5\nn1,normal,0,5\na,low,0,100\nn2,normal,0,100\n")
+        out = tmp_path / "p.csv"
+        assert main(["align-match", "--meta", str(meta), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {meta}: line 4: id 'a' repeats a low row\n" in err
+        assert not out.exists()
+
+    def test_condition_with_a_no_break_space_is_refused(self, tmp_path, capsys):
+        # str.strip() would drop U+00A0; the file format's blanks are ASCII
+        meta = tmp_path / "meta.csv"
+        meta.write_text("id,condition,trajectory_start,first_frame\n"
+                        "l0,\u00a0low,0,10\nn0,normal,0,10\n", encoding="utf-8")
+        rc = main(["align-match", "--meta", str(meta), "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert (f"error: {meta}: line 2: condition must be low|normal, got '\\xa0low'"
+                in capsys.readouterr().err)
 
     def test_missing_column_exits_one(self, tmp_path, capsys):
         meta = tmp_path / "meta.csv"

@@ -1,6 +1,7 @@
 """The depthwise and voxel kernels against the loops and masks they replaced:
 bit for bit (compared as uint64, so -0.0 differs from 0.0), except the
-one-channel depthwise case, which may move by one rounding."""
+one-channel depthwise case, which may move by one rounding; and the 2x2
+space-to-depth against its inverse and adjoint."""
 import numpy as np
 import pytest
 
@@ -59,6 +60,20 @@ def test_one_channel_dwconv_within_one_rounding(rng, kh, kw):
                   dwconv_grad_input_loop(abs(g), abs(wt))]
         for (got, want), scale in zip(_both(xp, wt, g), scales):
             assert np.all(np.abs(got - want) <= 1e-15 * scale), (h, w)
+
+
+@pytest.mark.parametrize("h,w,c", [(2, 2, 1), (6, 4, 3), (10, 14, 5)])
+def test_space_to_depth_layout_inverse_and_adjoint(rng, h, w, c):
+    x = rng.standard_normal((h, w, c))
+    x[rng.random(x.shape) < 0.3] = -0.0
+    s = _k.im2col(x)
+    assert s.shape == (h // 2, w // 2, 4 * c)
+    for q, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        assert np.array_equal(s[:, :, q * c:(q + 1) * c], x[di::2, dj::2])
+    assert np.array_equal(_bits(_k.col2im(s)), _bits(x))
+    # <im2col(x), y> = <x, col2im(y)>: the scatter a gradient needs
+    y = rng.standard_normal(s.shape)
+    assert np.isclose(np.vdot(s, y), np.vdot(x, _k.col2im(y)), rtol=1e-14, atol=0)
 
 
 def _deposits(tstar, xs, ys, ps, bins, height, width):

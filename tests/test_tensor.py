@@ -129,9 +129,7 @@ class TestBackwardContract:
                 stack.extend(p for p in node.parents if isinstance(p, T._Node))
         assert len(nodes) >= 25
         for node in nodes:
-            back = node.backward
-            held = list(back.__defaults__ or ()) + [c.cell_contents
-                                                    for c in back.__closure__ or ()]
+            held = helpers.held_by(node.backward)
             assert not any(isinstance(v, (Tensor, T._Node)) for v in held)
         assert set(T.backward(loss)) == {x, w, b, wd, w4, wu, bu, g, be, al}
 
@@ -459,6 +457,22 @@ class TestConv2d:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("h,wd", [(8, 8), (9, 9), (7, 10), (12, 5)])
+    def test_stride2_matches_im2col_reference(self, rng, k, h, wd):
+        # at 9x9 a 3x3 kernel gives 5x5 where its zero-padded 4x4 one would
+        # give 4x4: the lowering is sized by k, not by the padded kernel
+        x = rand_tensor(rng, (h, wd, 3))
+        w = rand_tensor(rng, (k, k, 3, 4))
+        b = rand_tensor(rng, (4,))
+        y = T.conv2d(x, w, b, stride=2)
+        gy = rng.standard_normal(y.shape)
+        grads = T.backward(sum_all(T.mul(y, Tensor(gy))))
+        ref = helpers.im2col_conv(x.data, w.data, b.data, (k - 1) // 2, gy, stride=2)
+        for got, want in zip((y.data, grads[x], grads[w], grads[b]), ref):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("band", [1, 4])
@@ -494,24 +508,24 @@ class TestConv2d:
     def test_backward_keeps_no_unfold(self, rng, k, padding):
         x = rand_tensor(rng, (16, 40, 8))
         y = T.conv2d(x, rand_tensor(rng, (k, k, 8, 8)), rand_tensor(rng, (8,)))
-        back = y._node.backward
-        held = list(back.__defaults__ or ()) + [c.cell_contents for c in back.__closure__ or ()]
+        held = helpers.held_by(y._node.backward)
         arrays = [v.data if isinstance(v, Tensor) else v for v in held]
         unfold = (16 + 2 * padding) * y.shape[1] * k * 8 * 8  # bytes
         assert max(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < unfold / 2
 
-    @pytest.mark.parametrize("op", ["padded", "stride2", "depthwise"])
+    @pytest.mark.parametrize("op", ["padded", "stride2", "stride2_4x4", "depthwise"])
     def test_backward_holds_only_its_inputs(self, rng, op):
-        # no padded copy or unfold of x: backward redoes them from x.data
+        # no padded copy, space-to-depth or unfold of x, and no rearranged
+        # kernel: backward redoes them from x.data and w.data
         x = rand_tensor(rng, (12, 10, 4))
         if op == "depthwise":
             w, b = rand_tensor(rng, (3, 3, 4)), rand_tensor(rng, (4,))
             y = T.dwconv2d(x, w, b)
         else:
-            w, b = rand_tensor(rng, (3, 3, 4, 6)), rand_tensor(rng, (6,))
-            y = T.conv2d(x, w, b, 2 if op == "stride2" else 1)
-        back = y._node.backward
-        held = list(back.__defaults__ or ()) + [c.cell_contents for c in back.__closure__ or ()]
+            k = 4 if op == "stride2_4x4" else 3
+            w, b = rand_tensor(rng, (k, k, 4, 6)), rand_tensor(rng, (6,))
+            y = T.conv2d(x, w, b, 1 if op == "padded" else 2)
+        held = helpers.held_by(y._node.backward)
         inputs = (x, w, b)
         assert not any(isinstance(v, (Tensor, T._Node)) for v in held)
         for v in held:

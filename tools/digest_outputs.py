@@ -8,7 +8,9 @@ Imports evlight from ``CHECKOUT/src``, writes every output under WORKDIR
 ``name sha256`` line per output:
 
 * seeded ``train`` runs (``loss.csv`` and ``final.evlt``) at batch 1, 2
-  and 3, with the crop equal to and smaller than the 40x40 samples;
+  and 3, with the crop equal to and smaller than the 40x40 samples, and
+  one at batch 1 and crop 36, whose third perceptual stage sees 9x9, an
+  odd extent;
 * ``enhance`` at 48x48, 45x38 and 33x47 (divisible by 4 and not), each at
   tau 0.5 and 0.3, with a perturbed trained checkpoint;
 * ``simulate-events`` written as CSV, and ``enhance`` reading that CSV and a
@@ -118,15 +120,14 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
     config = os.path.join(work, "train.cfg")
     with open(config, "w", encoding="utf-8") as f:
         f.write("steps = 3\nlambda = 0.1\nlr = 1e-3\n")
-    for batch in (1, 2, 3):
-        for crop in (40, 32):
-            run_dir = os.path.join(work, f"train_b{batch}_c{crop}")
-            run(cli, "train", "--manifest", manifest, "--out-dir", run_dir,
-                "--config", config, "--seed", "3", "--batch", str(batch),
-                "--crop", str(crop))
-            for name in ("loss.csv", "final.evlt"):
-                out.append((f"train_b{batch}_c{crop}/{name}",
-                            os.path.join(run_dir, name)))
+    for batch, crop in [(b, c) for b in (1, 2, 3) for c in (40, 32)] + [(1, 36)]:
+        run_dir = os.path.join(work, f"train_b{batch}_c{crop}")
+        run(cli, "train", "--manifest", manifest, "--out-dir", run_dir,
+            "--config", config, "--seed", "3", "--batch", str(batch),
+            "--crop", str(crop))
+        for name in ("loss.csv", "final.evlt"):
+            out.append((f"train_b{batch}_c{crop}/{name}",
+                        os.path.join(run_dir, name)))
 
     # a trained checkpoint's head is near zero; perturb every weight so the
     # event branch shapes the enhanced image
