@@ -3,8 +3,8 @@
 One executable with subcommands: voxelize, simulate-events, lightup,
 snr-map, enhance, train, eval, align-match, fixtures. Every run prints
 the resolved configuration; the EVLIGHT_LOG environment variable
-(error|info|debug) controls verbosity; exit status is zero only when no
-row-level errors occurred.
+(error|info|debug, any other value refused) controls verbosity; exit
+status is zero only when no row-level errors occurred.
 """
 from __future__ import annotations
 
@@ -36,10 +36,11 @@ DEFAULT_SEED = 0
 
 
 def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("EVLIGHT_LOG", "error"),
-                                         logging.ERROR)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    name = os.environ.get("EVLIGHT_LOG", "error")
+    if name not in levels:
+        raise ValueError(f"EVLIGHT_LOG must be error, info or debug, got {name!r}")
+    logging.basicConfig(level=levels[name], format="%(levelname)s %(name)s: %(message)s")
 
 
 def _print_config(args: argparse.Namespace, resolved: dict | None = None) -> None:
@@ -311,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "lightup" and args.ckpt:
@@ -321,6 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command != "train" and "seed" in args and args.seed is None:
         args.seed = DEFAULT_SEED
     try:
+        _setup_logging()
         if args.command != "train":  # train echoes the config it resolves
             _print_config(args)
         return args.func(args)

@@ -15,13 +15,15 @@ per-pixel mask is [H,W,1], a per-channel gate [C]). Anything else is rejected.
 Values are float64 throughout and must stay finite; any op that produces
 NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
 record no graph, so inference keeps no backward buffers alive; the scope is
-per thread, so one thread can infer while another records a graph.
+per context (a context variable), so one thread can infer while another
+records a graph.
 
 :func:`each` is the one way the package starts threads: it maps a function
 over independent items, at most :func:`cores` at a time, splits the caller's
-cores between them and carries the caller's ``no_grad`` scope and numpy
-``errstate`` into each. numpy releases the GIL in its GEMMs, so the threads
-run side by side.
+cores between them and runs each item in a copy of the caller's context,
+which carries its ``no_grad`` scope, numpy's ``errstate`` (handler included)
+and any other context variable. numpy releases the GIL in its GEMMs, so the
+threads run side by side.
 
 :func:`backward` returns the leaf gradients as a dict and keeps them nowhere
 else, so threads can run backward over graphs that share parameters.
@@ -45,6 +47,7 @@ the pass.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import os
 import threading
@@ -131,27 +134,20 @@ class _Node:
         self.backward = backward
 
 
-class _ThreadState(threading.local):
-    """Per-thread engine state; the class attributes are each thread's defaults."""
-
-    grad_enabled = True
-    cores = 0  # this thread's share of the cores from each(); 0: not in one
-
-
-_state = _ThreadState()
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+_share = contextvars.ContextVar("share", default=0)  # cores from each(); 0: not in one
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Scope in which this thread's op results get no node, so they keep
-    neither parents nor saved arrays. :func:`each` carries the scope into
-    the threads it starts, so their ops record no graph either."""
-    prev = _state.grad_enabled
-    _state.grad_enabled = False
+    """Scope in which this context's op results get no node, so they keep
+    neither parents nor saved arrays. :func:`each` runs its items in a copy
+    of the caller's context, so their ops record no graph either."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 # the variables the loaded OpenBLAS reads for its thread count, in its order
@@ -159,7 +155,7 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def cores() -> int:
-    """How many threads this thread may keep busy: its share from
+    """How many threads this context may keep busy: its share from
     :func:`each`, else one per core that BLAS leaves free.
 
     The cores are the process's CPU affinity; the BLAS thread count is the
@@ -168,8 +164,8 @@ def cores() -> int:
     two training samples side by side over 2-thread BLAS ran a crop-64 step
     1.3x slower than one sample at a time.
     """
-    if _state.cores:
-        return _state.cores
+    if share := _share.get():
+        return share
     try:
         n = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
@@ -188,34 +184,31 @@ def each(fn: Callable, items: Sequence) -> list:
     groups of at most :func:`cores` items.
 
     A group's first item runs on the calling thread and the others on
-    threads of their own; each gets an even share of this thread's cores (at
-    least one) and runs in this thread's ``no_grad`` state and numpy
-    ``errstate``. A group's threads are all joined before the next group
-    starts, and the first failure in item order is re-raised here with its
-    own type. With one core no thread is started.
+    threads of their own, each in a copy of the caller's context (so in its
+    ``no_grad`` state and numpy ``errstate``) with an even share of the
+    caller's cores (at least one). A group's threads are all joined before
+    the next group starts, and the first failure in item order is re-raised
+    here with its own type. With one core no thread is started.
     """
     width = cores()
-    grad_enabled, fp_errors = _state.grad_enabled, np.geterr()
     results: list = [None] * len(items)
     errors: list = [None] * len(items)
 
     def run(i, share):
-        _state.cores, _state.grad_enabled = share, grad_enabled
+        _share.set(share)  # in the item's own context: the caller's is untouched
         try:
-            with np.errstate(**fp_errors):
-                results[i] = fn(items[i])
+            results[i] = fn(items[i])
         except BaseException as exc:  # re-raised below, in the calling thread
             errors[i] = exc
 
-    prev = _state.cores
     for start in range(0, len(items), width):
         group = range(start, min(start + width, len(items)))
         share = max(1, width // len(group))
-        threads = [threading.Thread(target=run, args=(i, share)) for i in group[1:]]
+        threads = [threading.Thread(target=contextvars.copy_context().run,
+                                    args=(run, i, share)) for i in group[1:]]
         for t in threads:
             t.start()
-        run(start, share)
-        _state.cores = prev
+        contextvars.copy_context().run(run, start, share)
         for t in threads:
             t.join()
         for exc in errors[start:group.stop]:
@@ -227,7 +220,7 @@ def each(fn: Callable, items: Sequence) -> list:
 def _recording(*inputs: Tensor) -> bool:
     """Whether an op on ``inputs`` gets a node: an op computes arrays that
     only its backward reads only when this holds."""
-    return _state.grad_enabled and any(t.requires_grad for t in inputs)
+    return _grad_enabled.get() and any(t.requires_grad for t in inputs)
 
 
 def _result(data: np.ndarray, op: str, inputs: Sequence[Tensor],

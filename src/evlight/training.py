@@ -144,7 +144,7 @@ class SamplePair:
 class TrainConfig:
     lr: float = 1e-4
     epochs: int = 1
-    steps: int = 0  # when > 0, overrides epochs with an exact step count
+    steps: int = 0  # when > 0, an exact step count in place of epochs
     batch: int = 1
     crop: int = 64
     lam: float = 0.1
@@ -161,6 +161,9 @@ class TrainConfig:
         for key, low in (("batch", 1), ("epochs", 1), ("steps", 0), ("crop", 4)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.steps and self.epochs != 1:
+            raise ValueError(f"give steps ({self.steps}) or epochs ({self.epochs}), "
+                             "not both")
         if self.crop % 4:
             raise ValueError("crop must divide by 4")
         if not 0.0 <= self.lam < math.inf:

@@ -571,6 +571,19 @@ class TestTrainEval:
         assert f"{flag[2:]} must be >= " in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_train_refuses_epochs_beside_steps(self, tmp_path, capsys):
+        # the config file sets steps = 2, so --epochs 5 could not be honoured
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "1", "--size", "32"])
+        capsys.readouterr()
+        out_dir = tmp_path / "run"
+        assert main(["train", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+                     "--out-dir", str(out_dir), "--config", self._config_file(tmp_path),
+                     "--epochs", "5"]) == 1
+        assert capsys.readouterr().err == \
+            "error: give steps (2) or epochs (5), not both\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("args,config_line,message", [
         (["--lr", "-1"], "", "lr must be > 0"),
         ([], "grad_clip = -1\n", "grad_clip must be > 0"),
@@ -736,6 +749,17 @@ class TestFixturesCommand:
 
 
 class TestParser:
+    def test_unknown_log_level_exits_one_before_any_work(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # an unknown level is refused, not read as "error"
+        monkeypatch.setenv("EVLIGHT_LOG", "DEBUG")
+        out_dir = tmp_path / "d"
+        assert main(["fixtures", "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: EVLIGHT_LOG must be error, info or debug, got 'DEBUG'\n"
+        assert not captured.out and not out_dir.exists()
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])

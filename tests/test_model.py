@@ -228,6 +228,25 @@ class TestForkedForward:
             sys.setswitchinterval(interval)
         assert np.array_equal(outs[0], outs[1])
 
+    def test_forked_predict_honours_the_callers_errstate_handler(self, rng,
+                                                                 monkeypatch):
+        # weights at N(0,1) underflow exp on both threads: the worker must
+        # call the caller's handler, not fail to find one
+        model = _small_model()
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.data.shape)
+        img, grid = rng.uniform(0.0, 0.3, (16, 16, 3)), _grid(rng, 4, 16, 16)
+        outs, calls = [], []
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
+            calls.append([])
+            with np.errstate(under="call",
+                             call=lambda err, flag: calls[-1].append(threading.get_ident())):
+                outs.append(predict(model, img, grid))
+        assert np.array_equal(outs[0], outs[1])
+        assert calls[0] and len(calls[0]) == len(calls[1])
+        assert set(calls[1]) - {threading.get_ident()}  # the worker called it too
+
     # (failing block, the worker's last block of that phase or None, whether
     # the caller raises): each phase fails once on either thread, and when
     # the caller fails its phase's worker is still busy

@@ -1,4 +1,5 @@
 """Autodiff substrate: op semantics, gradients vs finite differences."""
+import contextvars
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from evlight.tensor import NonFiniteError, Parameter, ShapeError, Tensor
 
 import helpers
 from helpers import fd_gradcheck, max_rel_err, rand_tensor, sum_all, use_cores
+
+_CALLER = contextvars.ContextVar("caller", default="unset")
 
 
 class TestTensorBasics:
@@ -785,7 +788,29 @@ class TestEach:
 
         with pytest.raises(ValueError):
             T.each(fail, [0, 1])
-        assert T.cores() == 2 and T._state.cores == 0
+        assert T.cores() == 2 and T._share.get() == 0
+
+    def test_items_run_in_a_copy_of_the_callers_context(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        underflows = []
+
+        def item(i):
+            seen = _CALLER.get()
+            _CALLER.set(f"item {i}")
+            np.exp(-1000.0)  # underflows to 0.0: numpy calls the handler
+            return seen, threading.get_ident()
+
+        token = _CALLER.set("caller")
+        try:
+            with np.errstate(under="call",
+                             call=lambda err, flag: underflows.append(threading.get_ident())):
+                seen = T.each(item, [0, 1])
+            assert _CALLER.get() == "caller"  # an item's set stays in its copy
+        finally:
+            _CALLER.reset(token)
+        assert [s[0] for s in seen] == ["caller", "caller"]
+        assert seen[0][1] == threading.get_ident() != seen[1][1]
+        assert sorted(underflows) == sorted(s[1] for s in seen)
 
 
 # the BLAS thread count the loaded OpenBLAS reports, through the getter the

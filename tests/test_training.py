@@ -324,6 +324,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="lambda"):
             TrainConfig(lam=-0.1)
 
+    def test_steps_together_with_epochs_refused(self, tmp_path):
+        # epochs would be ignored: steps alone sets the count
+        message = re.escape("give steps (2) or epochs (5), not both")
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(steps=2, epochs=5)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("steps = 2\nepochs = 5\n")
+        with pytest.raises(ValueError, match=message):
+            parse_config(str(cfg_file))
+        assert TrainConfig(steps=2).epochs == 1
+
 
 def _tiny_config(**kw):
     base = dict(lr=1e-3, steps=2, crop=16, lam=0.1, seed=11, bins=4,
