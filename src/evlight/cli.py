@@ -86,6 +86,8 @@ def _cmd_simulate_events(args) -> int:
 
 
 def _cmd_lightup(args) -> int:
+    if args.seed is not None and args.seed < 0:  # None: weights from --ckpt
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     img = as_rgb(read_image(args.image))
     estimator = load_model(args.ckpt).estimator if args.ckpt else \
         LightUpEstimator(np.random.default_rng(args.seed))

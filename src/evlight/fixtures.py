@@ -68,6 +68,8 @@ def fixtures(out_dir: str, seed: int, count: int = 2, size: int = 64) -> str:
         raise ValueError(f"count must be >= 1, got {count}")
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     lines = []

@@ -1,16 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every operation the enhancement model needs lives here, each with its own
-gradient: convolutions, pooling, layer norm, channel attention, pointwise
-activations and elementwise arithmetic. The one exception is the 2x2
-transposed convolution ``deconv2d``, composed from ``conv2d``, ``reshape``,
-``transpose`` and ``add``. A k×k ``conv2d`` zero-pads by (k-1)//2, the one
-padding the network uses, with one lowering for both strides. ``add``,
-``sub``, ``mul`` and the gated residual ``gated_add(a, b, s)`` = a·b + s
-(s of a's shape) share one broadcast rule: ``b`` broadcasts into ``a``
-when the two are aligned on their trailing axes and each extent of ``b``
-equals ``a``'s or is 1, so the result always has ``a``'s shape (a
-per-pixel mask is [H,W,1], a per-channel gate [C]). Anything else is rejected.
+gradient: convolutions (ECA's channel conv among them), layer norm, channel
+attention, pointwise activations and elementwise arithmetic. A k×k
+``conv2d`` zero-pads by (k-1)//2, the one padding the network uses, with
+one lowering for both strides. ``add``, ``sub``, ``mul`` and the gated
+residual ``gated_add(a, b, s)`` = a·b + s (s of a's shape) share one
+broadcast rule: ``b`` broadcasts into ``a`` when the two are aligned on
+their trailing axes and each extent of ``b`` equals ``a``'s or is 1, so the
+result always has ``a``'s shape (a per-pixel mask is [H,W,1], a per-channel
+gate [C]). Anything else is rejected.
 
 Values are float64 throughout and must stay finite; any op that produces
 NaN/Inf raises :class:`NonFiniteError`. Inside a :func:`no_grad` scope ops
@@ -36,7 +35,7 @@ key and has no node. A closure keeps only the arrays its gradient formula
 reads (a saved array), and only for inputs that need a gradient: a
 convolution keeps its input for the weight gradient and its weight for the
 input gradient, ``mul`` the other operand, ``gelu`` its derivative, ``relu``
-a boolean mask, and ``add`` or ``reshape`` no array at all. No node refers
+a boolean mask, and ``add`` or ``concat`` no array at all. No node refers
 to an op result's Tensor, so an activation no formula reads is freed as soon
 as Python drops it, and since leaves have no node the graph holds no
 reference cycle: a model and its graphs are freed by reference counting.
@@ -458,7 +457,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions, shaping, linear algebra
+# reductions and channel attention
 # ---------------------------------------------------------------------------
 
 def mean(x: Tensor) -> Tensor:
@@ -477,24 +476,6 @@ def sqrt(x: Tensor) -> Tensor:
         raise NonFiniteError("sqrt of negative value")
     r = np.sqrt(x.data)
     return _result(r, "sqrt", (x,), lambda g: (g * 0.5 / r,))
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    if int(np.prod(shape)) != x.data.size:
-        raise ShapeError("reshape", "all", x.data.size, shape)
-    old = x.shape
-    return _result(np.ascontiguousarray(x.data.reshape(shape)), "reshape", (x,),
-                   lambda g: (g.reshape(old),))
-
-
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError("transpose", "all", f"permutation of {x.ndim} axes", axes)
-    inv = tuple(int(i) for i in np.argsort(axes))
-    return _result(np.ascontiguousarray(x.data.transpose(axes)), "transpose", (x,),
-                   lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
 def channel_attention(qkv: Tensor, alpha: Tensor, heads: int) -> Tensor:
@@ -698,27 +679,53 @@ def dwconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def deconv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Transposed 2x2 stride-2 convolution; doubles the spatial extent.
-
-    A 1x1 conv to 4*Cout channels, then depth-to-space (the sub-pixel identity).
-    """
+    """Transposed 2x2 stride-2 convolution: output pixel (2y+di, 2x+dj) is
+    x[y,x] @ w[di,dj] + b, one GEMM per kernel row di written in place."""
     if w.ndim != 4 or w.shape[:2] != (2, 2):
         raise ShapeError("deconv2d", "kernel", "[2,2,Cin,Cout]", w.shape)
     if x.ndim != 3 or x.shape[2] != w.shape[2]:
         raise ShapeError("deconv2d", 2, w.shape[2], x.shape)
-    cout = w.shape[3]
-    if b.shape != (cout,):
-        raise ShapeError("deconv2d", "bias", (cout,), b.shape)
-    h, wd, cin = x.shape
-    wk = reshape(transpose(w, (2, 0, 1, 3)), (1, 1, cin, 4 * cout))
-    y = conv2d(x, wk, Tensor(np.zeros(4 * cout)))
-    y = transpose(reshape(y, (h, wd, 2, 2, cout)), (0, 2, 1, 3, 4))
-    return add(reshape(y, (2 * h, 2 * wd, cout)), b)
+    if b.shape != w.shape[3:]:
+        raise ShapeError("deconv2d", "bias", w.shape[3:], b.shape)
+    (h, wd, cin), cout = x.shape, w.shape[3]
+    wr = w.data.transpose(0, 2, 1, 3).reshape(2, cin, 2 * cout)
+    out = np.empty((2 * h, 2 * wd, cout))
+    for di in range(2):
+        np.matmul(x.data, wr[di], out=out.reshape(h, 2, wd, 2 * cout)[:, di])
+    out += b.data
+    (xs, ws), nb = _cross(x, w), b.requires_grad
+
+    def back(g):
+        gmat = _k.im2col(g).reshape(h * wd, 4 * cout)  # channels (di, dj, c)
+        gx = gw = None
+        if ws is not None:
+            wk = np.ascontiguousarray(ws.transpose(2, 0, 1, 3)).reshape(cin, 4 * cout)
+            gx = (gmat @ wk.T).reshape(h, wd, cin)
+        if xs is not None:
+            gw = np.moveaxis((xs.reshape(-1, cin).T @ gmat).reshape(cin, 2, 2, cout), 0, 2)
+        return gx, gw, (g.sum(axis=(0, 1)) if nb else None)
+
+    return _result(out, "deconv2d", (x, w, b), back)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    if x.ndim != 3:
-        raise ShapeError("global_avg_pool", "all", "[H,W,C]", x.shape)
-    n, shape = x.shape[0] * x.shape[1], x.shape
-    return _result(x.data.mean(axis=(0, 1)), "global_avg_pool", (x,),
-                   lambda g: (np.broadcast_to(g / n, shape).copy(),))
+def eca_conv(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """ECA's [C] channel logits (Wang et al., ECA-Net, CVPR 2020): the 3-tap
+    correlation ``w`` over h's zero-padded channel means, plus ``b``."""
+    if h.ndim != 3 or w.shape != (3,) or b.shape != h.shape[2:]:
+        raise ShapeError("eca_conv", "all", "[H,W,C] input, [3] kernel, [C] bias",
+                         (h.shape, w.shape, b.shape))
+    shape, n, nb = h.shape, h.shape[0] * h.shape[1], b.requires_grad
+    # on the [1,C+2,1] padded means, so the taps add in dwconv2d's order
+    pm = np.pad(h.data.mean(axis=(0, 1)), 1).reshape(1, -1, 1)
+    wk = w.data.reshape(1, 3, 1)
+    out = _k.dwconv_forward(pm, wk).ravel() + b.data
+    pm, wk = (pm if w.requires_grad else None), (wk if h.requires_grad else None)
+
+    def back(g):
+        g3 = g.reshape(1, -1, 1)
+        gh = None if wk is None else np.broadcast_to(
+            _k.dwconv_grad_input(g3, wk).ravel() / n, shape).copy()
+        return (gh, None if pm is None else _k.dwconv_grad_weight(pm, g3).ravel(),
+                g if nb else None)
+
+    return _result(out, "eca_conv", (h, w, b), back)

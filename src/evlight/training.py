@@ -158,7 +158,8 @@ class TrainConfig:
     grad_clip: float = 10.0
 
     def __post_init__(self):
-        for key, low in (("batch", 1), ("epochs", 1), ("steps", 0), ("crop", 4)):
+        for key, low in (("batch", 1), ("epochs", 1), ("steps", 0), ("crop", 4),
+                         ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.steps and self.epochs != 1:

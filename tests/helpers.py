@@ -1,7 +1,7 @@
-"""Shared test utilities: the central finite-difference gradient oracle, the
-hand-written convolution ops the engine now composes from others, an
-im2col convolution that needs none of the engine's kernels, an einsum
-oracle for channel attention, and what a backward closure keeps alive."""
+"""Shared test utilities: the central finite-difference gradient oracle,
+reference ops with hand-derived backwards for deconv2d and ECA's channel
+conv, an im2col convolution that needs none of the engine's kernels, an
+einsum oracle for channel attention, and what a backward closure keeps alive."""
 from __future__ import annotations
 
 import os
@@ -73,10 +73,18 @@ def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale if scale else float(np.max(np.abs(a)))
 
 
-# Reference ops with their own hand-derived backward, as the engine had them
-# before deconv2d became conv2d + depth-to-space and ECA's 1-D conv a 1x3
-# dwconv2d. The compositions must match them: forward bit-exact, gradients
-# to 1e-12 relative.
+# Reference ops with their own hand-derived backward, written apart from the
+# engine's deconv2d and eca_conv: a GEMM with a depth-to-space shuffle, the
+# spatial mean and a loop over the taps. The engine's ops must match them:
+# forward bit-exact (to rounding for ECA's taps, which einsum adds in
+# another order), gradients to 1e-12 relative.
+
+def global_avg_pool(x: T.Tensor) -> T.Tensor:
+    """The [C] spatial mean of an [H,W,C] tensor."""
+    n, shape = x.shape[0] * x.shape[1], x.shape
+    return T._result(x.data.mean(axis=(0, 1)), "global_avg_pool", (x,),
+                     lambda g: (np.broadcast_to(g / n, shape).copy(),))
+
 
 def deconv2d(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
     """Transposed 2x2 stride-2 convolution as one GEMM and a 2x2 scatter."""

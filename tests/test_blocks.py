@@ -9,7 +9,7 @@ from evlight.blocks import (ChannelAttention, EcaResidual, Hfe, Hrf,
                             RegionalSelect)
 from evlight.tensor import ShapeError, Tensor
 
-from helpers import conv1d_same, fd_gradcheck, max_rel_err, rand_tensor
+from helpers import conv1d_same, fd_gradcheck, global_avg_pool, max_rel_err, rand_tensor
 
 
 def _randomize(module, rng, scale=0.3):
@@ -52,7 +52,7 @@ class TestEcaResidual:
 
         def reference(x):
             h = blk.conv2.forward(T.leaky_relu(blk.conv1.forward(x)))
-            gate = T.sigmoid(T.add(conv1d_same(T.global_avg_pool(h), blk.eca_weight),
+            gate = T.sigmoid(T.add(conv1d_same(global_avg_pool(h), blk.eca_weight),
                                    blk.eca_bias))
             return T.add(x, T.mul(h, gate))
 

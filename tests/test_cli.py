@@ -175,6 +175,14 @@ class TestLightupAndSnr:
         want = np.clip(i_lu.data, 0.0, 1.0).astype(np.float32)
         assert np.array_equal(read_image(out), want.astype(np.float64))
 
+    def test_lightup_negative_seed_exits_one(self, tmp_path, rng, capsys):
+        low_path, _ = _write_scene(tmp_path, rng)
+        out = tmp_path / "lu.pfm"
+        assert main(["lightup", "--image", low_path, "--out", str(out),
+                     "--seed", "-3"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert not out.exists()
+
     def test_lightup_seed_with_checkpoint_rejected(self, tmp_path, rng, capsys):
         low_path, _ = _write_scene(tmp_path, rng)
         ckpt = str(tmp_path / "m.evlt")
@@ -558,6 +566,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("flag,value", [
         ("--batch", "0"), ("--batch", "-1"), ("--epochs", "0"),
         ("--epochs", "-2"), ("--steps", "-3"), ("--crop", "0"), ("--crop", "-4"),
+        ("--seed", "-1"),
     ])
     def test_bad_training_count_exits_one_before_writing(self, tmp_path, capsys,
                                                          flag, value):
@@ -745,6 +754,12 @@ class TestFixturesCommand:
         rc = main(["fixtures", "--out-dir", str(out_dir), "--size", size])
         assert rc == 1
         assert f"size must be >= 2, got {size}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_seed_exits_one_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "d"
+        assert main(["fixtures", "--out-dir", str(out_dir), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out_dir.exists()
 
 

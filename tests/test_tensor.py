@@ -116,13 +116,13 @@ class TestBackwardContract:
         wd, w4 = rand_tensor(rng, (3, 3, 4)), rand_tensor(rng, (4, 4, 4, 4))
         wu, bu = rand_tensor(rng, (2, 2, 4, 2)), rand_tensor(rng, (2,))
         g, be = rand_tensor(rng, (6,)), rand_tensor(rng, (6,))
+        w3, b6 = rand_tensor(rng, (3,)), rand_tensor(rng, (6,))
         y = T.dwconv2d(T.conv2d(x, w, b), wd, b)
         y = T.concat([y, T.deconv2d(T.conv2d(y, w4, b, 2), wu, bu)])
         al = Tensor(rng.uniform(0.5, 2.0, 2), requires_grad=True)
         y = T.layer_norm(T.gelu(T.leaky_relu(T.relu(y))), g, be)
-        y = T.sigmoid(T.gated_add(y, T.global_avg_pool(y), y))
-        m = T.reshape(T.transpose(y, (1, 0, 2)), (4, 16, 6))
-        m = T.channel_attention(m, al, 2)
+        y = T.gated_add(y, T.sigmoid(T.eca_conv(y, w3, b6)), y)
+        m = T.channel_attention(y, al, 2)
         loss = T.sqrt(T.add(T.mean(T.absolute(T.sub(T.mul(m, 0.5), 0.3))), 1.0))
         nodes, stack = set(), [loss._node]
         while stack:
@@ -130,11 +130,11 @@ class TestBackwardContract:
             if node not in nodes:
                 nodes.add(node)
                 stack.extend(p for p in node.parents if isinstance(p, T._Node))
-        assert len(nodes) >= 25
+        assert len(nodes) >= 19
         for node in nodes:
             held = helpers.held_by(node.backward)
             assert not any(isinstance(v, (Tensor, T._Node)) for v in held)
-        assert set(T.backward(loss)) == {x, w, b, wd, w4, wu, bu, g, be, al}
+        assert set(T.backward(loss)) == {x, w, b, wd, w4, wu, bu, g, be, w3, b6, al}
 
     def test_threads_sharing_parameters_get_their_own_gradients(self):
         # more threads than cores, switching often: gradients or a no_grad
@@ -376,16 +376,11 @@ class TestMatmulAndShaping:
         with pytest.raises(ShapeError):  # one temperature per head
             T.channel_attention(Tensor(np.ones((2, 2, 12))), Tensor(np.ones(3)), 2)
 
-    def test_reshape_transpose_concat(self, rng):
+    def test_concat_grad(self, rng):
+        # [x | y] against [y | x]: each part's gradient comes from its own columns
         x = rand_tensor(rng, (2, 4, 3))
-        y = rand_tensor(rng, (2, 4, 3))
-
-        def build(x, y):
-            c = T.concat([x, y])
-            r = T.reshape(c, (4, 3, 4))
-            return T.mean(T.mul(T.transpose(r, (2, 0, 1)), T.transpose(r, (2, 0, 1))))
-
-        fd_gradcheck(build, [x, y])
+        y = rand_tensor(rng, (2, 4, 2))
+        fd_gradcheck(lambda x, y: T.mean(T.mul(T.concat([x, y]), T.concat([y, x]))), [x, y])
 
     def test_concat_mismatch(self):
         with pytest.raises(ShapeError):
@@ -516,7 +511,7 @@ class TestConv2d:
         unfold = (16 + 2 * padding) * y.shape[1] * k * 8 * 8  # bytes
         assert max(a.nbytes for a in arrays if isinstance(a, np.ndarray)) < unfold / 2
 
-    @pytest.mark.parametrize("op", ["padded", "stride2", "stride2_4x4", "depthwise"])
+    @pytest.mark.parametrize("op", ["padded", "stride2", "stride2_4x4", "depthwise", "deconv"])
     def test_backward_holds_only_its_inputs(self, rng, op):
         # no padded copy, space-to-depth or unfold of x, and no rearranged
         # kernel: backward redoes them from x.data and w.data
@@ -524,6 +519,9 @@ class TestConv2d:
         if op == "depthwise":
             w, b = rand_tensor(rng, (3, 3, 4)), rand_tensor(rng, (4,))
             y = T.dwconv2d(x, w, b)
+        elif op == "deconv":
+            w, b = rand_tensor(rng, (2, 2, 4, 6)), rand_tensor(rng, (6,))
+            y = T.deconv2d(x, w, b)
         else:
             k = 4 if op == "stride2_4x4" else 3
             w, b = rand_tensor(rng, (k, k, 4, 6)), rand_tensor(rng, (6,))
@@ -581,18 +579,29 @@ class TestDeconv2d:
             T.mul(T.deconv2d(x, w, b), T.deconv2d(x, w, b))), [x, w, b], tol=1e-6)
 
     def test_matches_hand_written_oracle(self, rng):
-        x = rand_tensor(rng, (5, 7, 6))
-        w = rand_tensor(rng, (2, 2, 6, 4), scale=0.4)
-        b = rand_tensor(rng, (4,))
-        runs = []
-        for op in (T.deconv2d, helpers.deconv2d):
-            y = op(x, w, b)
-            grads = T.backward(T.mean(T.mul(y, y)))
-            runs.append((y.data, grads[x], grads[w], grads[b]))
-        (y, *grads), (y_ref, *grads_ref) = runs
-        assert np.array_equal(y, y_ref)
-        for g, g_ref in zip(grads, grads_ref):
-            assert max_rel_err(g, g_ref) <= 1e-12
+        for hw in ((5, 7), (1, 1)):
+            x = rand_tensor(rng, hw + (6,))
+            w = rand_tensor(rng, (2, 2, 6, 4), scale=0.4)
+            b = rand_tensor(rng, (4,))
+            runs = []
+            for op in (T.deconv2d, helpers.deconv2d):
+                y = op(x, w, b)
+                grads = T.backward(T.mean(T.mul(y, y)))
+                runs.append((y.data, grads[x], grads[w], grads[b]))
+            (y, *grads), (y_ref, *grads_ref) = runs
+            assert np.array_equal(y, y_ref)
+            for g, g_ref in zip(grads, grads_ref):
+                assert max_rel_err(g, g_ref) <= 1e-12
+
+    def test_forward_is_one_op_and_calls_no_kernel(self, rng, monkeypatch):
+        ops = []
+        result = T._result
+        monkeypatch.setattr(T, "_result", lambda *a: ops.append(a[1]) or result(*a))
+        for name in ("im2col", "col2im", "dwconv_forward"):
+            monkeypatch.setattr(T._k, name, None)
+        y = T.deconv2d(rand_tensor(rng, (3, 5, 2)), rand_tensor(rng, (2, 2, 2, 3)),
+                       rand_tensor(rng, (3,)))
+        assert ops == ["deconv2d"] and y.shape == (6, 10, 3)
 
     def test_non_doubling_rejected(self):
         with pytest.raises(ShapeError):
@@ -601,11 +610,50 @@ class TestDeconv2d:
 
 
 class TestPoolingAndDwConv:
-    def test_global_avg_pool(self, rng):
+    def test_eca_conv_grad(self, rng):
+        # the centre tap alone is the spatial mean of each channel
         x = rand_tensor(rng, (5, 4, 3))
-        assert np.allclose(T.global_avg_pool(x).data, x.data.mean(axis=(0, 1)))
-        fd_gradcheck(lambda x: T.mean(T.mul(T.global_avg_pool(x),
-                                            T.global_avg_pool(x))), [x])
+        mean = T.eca_conv(x, Tensor(np.array([0.0, 1.0, 0.0])), Tensor(np.zeros(3)))
+        assert np.array_equal(mean.data, x.data.mean(axis=(0, 1)))
+        w, b = rand_tensor(rng, (3,)), rand_tensor(rng, (3,))
+        fd_gradcheck(lambda x, w, b: T.mean(T.mul(T.eca_conv(x, w, b),
+                                                  T.eca_conv(x, w, b))), [x, w, b])
+
+    def test_eca_conv_matches_dwconv2d_and_the_conv1d_oracle(self, rng):
+        x, w, b = rand_tensor(rng, (5, 7, 6)), rand_tensor(rng, (3,)), rand_tensor(rng, (6,))
+        gy = rng.standard_normal(6)
+        y = T.eca_conv(x, w, b)
+        got = T.backward(sum_all(T.mul(y, Tensor(gy))))
+        # bit for bit: the 1x3 dwconv2d on the [1,C,1] view of the means
+        p = Tensor(x.data.mean(axis=(0, 1)).reshape(1, 6, 1), requires_grad=True)
+        w3 = Tensor(w.data.reshape(1, 3, 1), requires_grad=True)
+        z = T.dwconv2d(p, w3, Tensor(np.zeros(1)))
+        assert np.array_equal(y.data, z.data.ravel() + b.data)
+        ref = T.backward(sum_all(T.mul(z, Tensor(gy.reshape(1, 6, 1)))))
+        assert np.array_equal(got[x], np.broadcast_to(ref[p].ravel() / 35, x.shape))
+        assert np.array_equal(got[w], ref[w3].ravel()) and np.array_equal(got[b], gy)
+        # to rounding: the mean and a tap loop, each with its own backward
+        y_ref = T.add(helpers.conv1d_same(helpers.global_avg_pool(x), w), b)
+        want = T.backward(sum_all(T.mul(y_ref, Tensor(gy))))
+        assert max_rel_err(y.data, y_ref.data) <= 1e-12
+        for t in (x, w, b):
+            assert max_rel_err(got[t], want[t]) <= 1e-12
+
+    def test_eca_conv_keeps_only_the_padded_means_and_kernel(self, rng):
+        y = T.eca_conv(rand_tensor(rng, (6, 5, 4)), rand_tensor(rng, (3,)),
+                       rand_tensor(rng, (4,)))
+        held = [v for v in helpers.held_by(y._node.backward) if isinstance(v, np.ndarray)]
+        assert sorted(a.size for a in held) == [3, 4 + 2]
+
+    @pytest.mark.parametrize("shape,w_shape,b_shape", [
+        ((5, 4), (3,), (4,)),        # a 2-D input
+        ((5, 4, 3), (5,), (3,)),     # a 5-tap kernel
+        ((5, 4, 3), (3,), (4,)),     # a bias of another length
+    ])
+    def test_eca_conv_shape_errors(self, shape, w_shape, b_shape):
+        with pytest.raises(ShapeError):
+            T.eca_conv(Tensor(np.ones(shape)), Tensor(np.ones(w_shape)),
+                       Tensor(np.ones(b_shape)))
 
     @staticmethod
     def _dwconv_loop(x, w, b):
@@ -644,7 +692,7 @@ class TestPoolingAndDwConv:
                            Tensor(np.zeros(1)))
 
     def test_conv1d_same(self, rng):
-        # the oracle the ECA gate's 1x3 dwconv2d is held to (test_blocks)
+        # the oracle eca_conv's taps are held to (test_blocks)
         x = rand_tensor(rng, (8,))
         w = rand_tensor(rng, (3,))
         y = helpers.conv1d_same(x, w).data
@@ -662,15 +710,16 @@ class TestCompositeChain:
         b = rand_tensor(rng, (4,))
         g = Tensor(np.ones(4), requires_grad=True)
         be = rand_tensor(rng, (4,))
+        w3 = rand_tensor(rng, (3,))
 
-        def build(x, w, b, g, be):
+        def build(x, w, b, g, be, w3):
             y = T.conv2d(x, w, b)
             y = T.gelu(y)
             y = T.layer_norm(y, g, be)
-            y = T.add(y, T.global_avg_pool(y))
+            y = T.gated_add(y, T.sigmoid(T.eca_conv(y, w3, b)), y)
             return T.mean(T.mul(y, y))
 
-        fd_gradcheck(build, [x, w, b, g, be], tol=1e-6)
+        fd_gradcheck(build, [x, w, b, g, be, w3], tol=1e-6)
 
 
 class TestNoGrad:
