@@ -50,17 +50,37 @@ def dwconv_grad_input(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("hwckl,klc->hwc", windows, w)
 
 
+# events per chunk of the passes over a stream. A chunk's temporaries take
+# about 40 bytes per event, 640 KiB here whatever the stream's length, which
+# stays in a core's L2 cache; 2**14 was the fastest of 2**11..2**18 on a
+# 316,680-event voxelize, and numpy's fixed cost per call does not show at it
+CHUNK = 1 << 14
+
+
 def voxel_deposit(flat: np.ndarray, tstar: np.ndarray, xs: np.ndarray,
                   ys: np.ndarray, ps: np.ndarray, bins: int,
                   height: int, width: int) -> None:
     """Split each event's polarity between bins floor(t*) and floor(t*)+1 of
     the flat [bins,H,W] grid; needs 0 <= t* <= bins-1. The second deposit,
-    clamped to the last bin, adds ±0.0 where t* is whole, which moves no cell."""
-    b0 = tstar.astype(np.int64)
-    frac = tstar - b0
-    base = ys * width + xs
-    np.add.at(flat, b0 * (height * width) + base, ps * (1.0 - frac))
-    np.add.at(flat, np.minimum(b0 + 1, bins - 1) * (height * width) + base, ps * frac)
+    clamped to the last bin, adds ±0.0 where t* is whole, which moves no cell.
+    Every chunk's first deposits go in before any second one, so each cell
+    adds its terms in the order of one pass over the whole stream."""
+    for second in (False, True):
+        for s in range(0, tstar.shape[0], CHUNK):
+            c = slice(s, s + CHUNK)
+            b0 = tstar[c].astype(np.int64)
+            w = tstar[c] - b0
+            # widened first: a uint16 y times the width stays uint16 and wraps
+            at = np.multiply(ys[c], width, dtype=np.int64)
+            np.add(at, xs[c], out=at, dtype=np.int64)
+            if second:
+                np.minimum(b0 + 1, bins - 1, out=b0)
+            else:
+                np.subtract(1.0, w, out=w)
+            b0 *= height * width
+            at += b0
+            w *= ps[c]
+            np.add.at(flat, at, w)
 
 
 def box_filter(img: np.ndarray, k: int) -> np.ndarray:

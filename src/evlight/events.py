@@ -7,6 +7,7 @@ accepted for hand-written fixtures.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -44,7 +45,10 @@ class _BadEvent(ValueError):
 @dataclass(frozen=True)
 class EventStream:
     """Events sorted by t (``voxelize`` relies on it) on a sensor of the
-    given extent; each field is given as integers and kept as int64."""
+    given extent. Each field is given as integers. ``t`` is kept as int64:
+    a uint64 field is viewed, not copied, so a value past int64 reads
+    negative and is refused, and any other integer field is cast. x, y and
+    p keep their dtypes, so an EVST file's fields stay views of its records."""
 
     width: int
     height: int
@@ -58,14 +62,15 @@ class EventStream:
         for f, vals in zip("txyp", fields):
             if vals.dtype.kind not in "iu":
                 raise ValueError(f"event field {f} must hold integers, got {vals.dtype}")
-        t, x, y, p = (np.ascontiguousarray(vals, dtype=np.int64) for vals in fields)
+        t, x, y, p = fields
+        t = t.view(np.int64) if t.dtype == np.uint64 else t.astype(np.int64, copy=False)
         n = t.shape[0]
         if not (x.shape[0] == y.shape[0] == p.shape[0] == n):
             raise ValueError("event arrays must share one length")
         if n:
             if t.min() < 0:
                 raise _BadEvent("t", t, t < 0, "is negative")
-            if np.any(t[1:] < t[:-1]):
+            if _descends(t):
                 raise ValueError("timestamps must be non-decreasing")
             sensor = f"out of bounds (sensor {self.width}x{self.height})"
             if x.min() < 0 or x.max() >= self.width:
@@ -80,6 +85,12 @@ class EventStream:
 
     def __len__(self) -> int:
         return self.t.shape[0]
+
+
+def _descends(t: np.ndarray) -> bool:
+    """Whether some t[i+1] < t[i], compared one chunk at a time."""
+    return any(np.any(c[1:] < c[:-1]) for c in
+               (t[s:s + _k.CHUNK + 1] for s in range(0, t.shape[0] - 1, _k.CHUNK)))
 
 
 @dataclass(frozen=True)
@@ -101,10 +112,15 @@ def voxelize(stream: EventStream, bins: int = 32,
     Each in-window event lands at t* = (t-t0)/(t1-t0)*(bins-1) and splits
     its polarity between bins floor(t*) and floor(t*)+1. Events outside
     the closed window [t0, t1] are ignored; the stream is sorted by t, so
-    the window is one slice of its arrays, found by binary search.
+    the window is one slice of its arrays, found by binary search. Beside
+    the grid, only t* takes memory of the stream's length: 8 bytes per
+    in-window event.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    for name, bound in (("t0", t0), ("t1", t1)):
+        if bound is not None and not -2**63 <= bound < 2**63:
+            raise ValueError(f"{name}={bound} does not fit int64")
     if t0 is None:
         t0 = int(stream.t[0]) if len(stream) else 0
     if t1 is None:
@@ -112,9 +128,15 @@ def voxelize(stream: EventStream, bins: int = 32,
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0},{t1}]")
     grid = np.zeros(bins * stream.height * stream.width, dtype=np.float64)
-    win = slice(np.searchsorted(stream.t, t0, "left"),
-                np.searchsorted(stream.t, t1, "right"))
-    tstar = (stream.t[win] - t0) / float(t1 - t0) * (bins - 1)
+    # bisect reads a strided t in place, where np.searchsorted would copy it
+    win = slice(bisect.bisect_left(stream.t, t0), bisect.bisect_right(stream.t, t1))
+    # t - t0 lies in [0, t1 - t0], which can pass int64 when t0 < 0; taken
+    # mod 2**64 in uint64 it is exact
+    t, shift = stream.t[win].view(np.uint64), np.uint64(t0 % 2**64)
+    tstar = np.empty(t.shape[0])
+    for s in range(0, t.shape[0], _k.CHUNK):
+        np.divide(t[s:s + _k.CHUNK] - shift, float(t1 - t0), out=tstar[s:s + _k.CHUNK])
+    tstar *= bins - 1
     _k.voxel_deposit(grid, tstar, stream.x[win], stream.y[win], stream.p[win],
                      bins, stream.height, stream.width)
     return VoxelGrid(grid.reshape(bins, stream.height, stream.width))
@@ -131,6 +153,9 @@ def write_events(stream: EventStream, path: str) -> None:
             f.write("t,x,y,p\n")
             f.write(("%d,%d,%d,%d\n" * len(stream)) % tuple(rows.ravel().tolist()))
         return
+    if max(stream.width, stream.height) > 0xFFFF:
+        raise ValueError(f"{path}: sensor {stream.width}x{stream.height} does not fit "
+                         "EVST, which holds at most 65535 per side")
     rec = np.zeros(len(stream), dtype=_RECORD)
     rec["t"] = stream.t
     rec["x"] = stream.x
@@ -146,7 +171,7 @@ def write_events(stream: EventStream, path: str) -> None:
 def _sorted_stream(width, height, t, x, y, p, refuse) -> EventStream:
     """The file's events, stably sorted by t when out of order; a record that
     breaks a rule raises ``refuse(its index in the file, message)``."""
-    order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else None
+    order = np.argsort(t, kind="stable") if _descends(t) else None
     if order is not None:
         t, x, y, p = t[order], x[order], y[order], p[order]
     try:
@@ -162,13 +187,13 @@ def _read_events_binary(buf: bytes, path: str) -> EventStream:
     version, width, height, count = struct.unpack("<IHHQ", buf[4:_HEADER_SIZE])
     if version != _VERSION:
         raise EventFormatError(f"{path}: unsupported version {version}", 4)
-    body = buf[_HEADER_SIZE:]
-    if len(body) != count * _RECORD.itemsize:
-        bad = _HEADER_SIZE + (len(body) // _RECORD.itemsize) * _RECORD.itemsize
+    size = len(buf) - _HEADER_SIZE
+    if size != count * _RECORD.itemsize:
+        bad = _HEADER_SIZE + (size // _RECORD.itemsize) * _RECORD.itemsize
         raise EventFormatError(
-            f"{path}: expected {count} records, body holds "
-            f"{len(body)} bytes", bad)
-    rec = np.frombuffer(body, dtype=_RECORD)
+            f"{path}: expected {count} records, body holds {size} bytes", bad)
+    # the fields are views of the records: nothing of the file's size is copied
+    rec = np.frombuffer(buf, _RECORD, count=count, offset=_HEADER_SIZE)
 
     def refuse(i, message):
         if message.startswith("t="):  # only a u64 past int64 reads as negative

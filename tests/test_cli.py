@@ -93,6 +93,17 @@ class TestVoxelize:
         assert "bins must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--t0", "-99999999999999999999"),
+                                            ("--t1", "99999999999999999999")])
+    def test_window_bound_outside_int64_exits_one(self, tmp_path, rng, capsys,
+                                                  flag, value):
+        _, ev_path = _write_scene(tmp_path, rng)
+        out = tmp_path / "grid.npy"
+        rc = main(["voxelize", "--events", ev_path, "--out", str(out), flag, value])
+        assert rc == 1
+        assert f"error: {flag[2:]}={value} does not fit int64" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateEvents:
     def test_round_trip_matches_library(self, tmp_path, rng):
@@ -436,6 +447,25 @@ class TestTrainEval:
         assert len(lines) == 4  # header, ok row, error row, mean
         assert ",error,error," in lines[2]
         assert "events.csv: line 2: y=99999999999999999999 does not fit int64" in lines[2]
+        assert "1/2 rows ok" in capsys.readouterr().out
+
+    def test_eval_scores_the_rows_beside_a_window_bound_past_int64(self, tmp_path,
+                                                                   capsys):
+        main(["fixtures", "--out-dir", str(tmp_path / "data"),
+              "--seed", "4", "--count", "2", "--size", "32"])
+        man_path = tmp_path / "data" / "manifest.txt"
+        first, second = man_path.read_text().splitlines()
+        man_path.write_text(first + "\n" + "\t".join(
+            second.split("\t")[:3] + ["-99999999999999999999", "100000"]) + "\n")
+        ckpt = str(tmp_path / "m.evlt")
+        _checkpoint(ckpt)
+        out_csv = str(tmp_path / "scores.csv")
+        assert main(["eval", "--manifest", str(man_path), "--ckpt", ckpt,
+                     "--out", out_csv]) == 1
+        lines = open(out_csv).read().strip().splitlines()
+        assert len(lines) == 4  # header, ok row, error row, mean
+        assert ",error,error," in lines[2]
+        assert "t0=-99999999999999999999 does not fit int64" in lines[2]
         assert "1/2 rows ok" in capsys.readouterr().out
 
     def test_eval_on_two_cores_scores_rows_side_by_side_with_the_same_csv(

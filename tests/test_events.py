@@ -1,11 +1,15 @@
 """Event streams: voxelization, IO round-trips, simulator."""
+import gc
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evlight import _kernels as _k
 from evlight.events import (EventFormatError, EventStream, read_events,
                             simulate_events, voxelize, write_events)
 from evlight.fixtures import make_scene
@@ -45,6 +49,25 @@ class TestStreamValidation:
         z = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError, match="event field p must hold integers, got bool"):
             EventStream(4, 4, z, z, z, np.ones(2, dtype=bool))
+
+    def test_fields_keep_their_integer_dtypes_and_t_is_int64(self):
+        t = np.array([1, 2**40], dtype=np.uint64)
+        x = np.array([0, 3], dtype=np.uint16)
+        s = EventStream(4, 4, t, x, np.array([1, 2], dtype=np.int32),
+                        np.array([1, -1], dtype=np.int8))
+        assert s.t.dtype == np.int64 and np.shares_memory(s.t, t)
+        assert (s.x.dtype, s.y.dtype, s.p.dtype) == (np.uint16, np.int32, np.int8)
+        assert s.x is x
+        small = np.array([1, 2], dtype=np.uint32)
+        assert EventStream(4, 4, small, x, x, s.p).t.dtype == np.int64
+
+    def test_descent_across_a_chunk_boundary_refused(self):
+        n = 2 * _k.CHUNK + 5
+        t = np.arange(n)
+        t[_k.CHUNK], t[_k.CHUNK - 1] = t[_k.CHUNK - 1], t[_k.CHUNK]
+        z = np.zeros(n, dtype=np.int64)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            EventStream(4, 4, t, z, z, z + 1)
 
 
 class TestVoxelize:
@@ -117,6 +140,26 @@ class TestVoxelize:
         with pytest.raises(ValueError):
             voxelize(s, 32, 100, 100)
 
+    @pytest.mark.parametrize("name,window", [("t0", (-10**20, 5)), ("t0", (2**63, None)),
+                                             ("t1", (0, 10**20)), ("t1", (0, 2**63))])
+    def test_window_bound_outside_int64_refused(self, name, window):
+        s = _stream(4, 4, [[0, 0, 0, 1]])
+        bound = window[0] if name == "t0" else window[1]
+        with pytest.raises(ValueError, match=f"^{name}={bound} does not fit int64$"):
+            voxelize(s, 4, *window)
+
+    def test_window_wider_than_int64_is_exact(self):
+        # t - t0 passes int64 here; in int64 it would wrap negative
+        s = _stream(4, 4, [[5, 0, 0, 1], [2**62, 1, 1, 1]])
+        t0, t1 = -2**63, 2**63 - 1
+        got = voxelize(s, 4, t0, t1).data
+        want = np.zeros_like(got)
+        for t, x, y, p in zip(s.t, s.x, s.y, s.p):
+            ts = (int(t) - t0) / float(t1 - t0) * 3
+            want[int(ts), y, x] += p * (1 - (ts - int(ts)))
+            want[int(ts) + 1, y, x] += p * (ts - int(ts))
+        assert np.array_equal(got, want) and got.sum() == 2.0
+
     def test_bins_minimum(self):
         s = _stream(4, 4, [[0, 0, 0, 1]])
         with pytest.raises(ValueError):
@@ -153,6 +196,63 @@ class TestEventIO:
         assert (r.width, r.height) == (s.width, s.height)
         for a, b in ((r.t, s.t), (r.x, s.x), (r.y, s.y), (r.p, s.p)):
             assert np.array_equal(a, b)
+
+    def test_evst_fields_are_views_of_one_buffer(self, rng, tmp_path):
+        s = _random_stream(rng, 100)
+        p = tmp_path / "e.evst"
+        write_events(s, str(p))
+        r = read_events(str(p))
+        assert (r.t.dtype, r.x.dtype, r.y.dtype, r.p.dtype) == (
+            np.int64, np.uint16, np.uint16, np.int8)
+        roots = set()
+        for f in "txyp":
+            a = getattr(r, f)
+            while isinstance(a, np.ndarray):
+                a = a.base
+            roots.add(id(a))
+            assert np.shares_memory(getattr(r, f), np.frombuffer(a, np.uint8))
+        assert len(roots) == 1 and len(a) == os.path.getsize(p)
+
+    def test_out_of_order_evst_comes_back_sorted(self, rng, tmp_path):
+        s = _random_stream(rng, 50)
+        p = tmp_path / "e.evst"
+        write_events(s, str(p))
+        data = p.read_bytes()
+        order = rng.permutation(50)
+        records = [data[20 + 14 * i:34 + 14 * i] for i in order]
+        p.write_bytes(data[:20] + b"".join(records))
+        r = read_events(str(p))
+        assert np.array_equal(r.t, s.t)
+        # each event's fields move with its timestamp
+        back = sorted(zip(*(getattr(r, f).tolist() for f in "txyp")))
+        assert back == sorted(zip(*(getattr(s, f).tolist() for f in "txyp")))
+        # a bad record is named at its offset in the file, not in sorted order
+        bad = bytearray(p.read_bytes())
+        k = int(np.argmax(order == 0))  # the file's record holding the first event
+        bad[20 + 14 * k + 12] = 0
+        p.write_bytes(bytes(bad))
+        with pytest.raises(EventFormatError, match="polarity=0") as e:
+            read_events(str(p))
+        assert e.value.offset == 20 + 14 * k
+
+    def test_round_trip_past_a_16_bit_pixel_index(self, tmp_path):
+        # y*W + x = 299*300 + 299 = 89,999; at 16 bits it would wrap to 24,463
+        s = EventStream(300, 300, np.array([0, 10]), np.array([299, 0]),
+                        np.array([299, 0]), np.array([1, -1]))
+        p = tmp_path / "e.evst"
+        write_events(s, str(p))
+        g = voxelize(read_events(str(p)), 2, 0, 10).data
+        assert g[0, 299, 299] == 1.0 and g[1, 0, 0] == -1.0
+        assert np.count_nonzero(g) == 2
+
+    def test_extent_past_evst_limit_refused_before_writing(self, tmp_path):
+        frame = np.full((1, 70000), 0.1)
+        s = simulate_events(frame, 2 * frame, 0, 1000, 0.5)
+        p = tmp_path / "wide.evst"
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: sensor 70000x1 does "
+                                             "not fit EVST, which holds at most 65535"):
+            write_events(s, str(p))
+        assert not p.exists()
 
     def test_empty_body_valid_header(self, tmp_path):
         z = np.zeros(0, dtype=np.int64)
@@ -303,6 +403,39 @@ class TestEventIO:
             p = tmp_path / f"e{n}.csv"
             write_events(s, str(p))
             assert p.read_bytes() == _write_csv_loop(s).encode("ascii")
+
+
+class TestIngestMemory:
+    """The bytes reading and voxelizing a stream allocate, by tracemalloc."""
+
+    @staticmethod
+    def _peak(fn, *args):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_evst_read_allocates_the_file_and_a_constant(self, rng, tmp_path):
+        # 152,733 bytes above the file at 200,000 and at 1,000,000 events;
+        # copying the body and the fields into int64 took 9.4 MB more
+        s = _random_stream(rng, 200_000)
+        p = tmp_path / "e.evst"
+        write_events(s, str(p))
+        assert self._peak(read_events, str(p)) <= os.path.getsize(p) + 512 * 1024
+
+    def test_voxelize_allocates_the_grid_tstar_and_a_constant(self, rng, tmp_path):
+        # the grid, 8 bytes per event for t*, and one chunk's temporaries
+        # (592,780 bytes); whole-stream temporaries took 40 MB more
+        n = 1_000_000
+        s = _random_stream(rng, n)
+        p = tmp_path / "e.evst"
+        write_events(s, str(p))
+        for stream in (s, read_events(str(p))):
+            grid = 4 * s.height * s.width * 8
+            assert self._peak(voxelize, stream, 4, 0, 100_000) <= grid + 8 * n + 1024 * 1024
 
 
 def _voxelize_mask(stream, bins, t0, t1):

@@ -102,6 +102,19 @@ def test_voxel_deposit_matches_masked_deposit_bitwise(rng):
     assert np.array_equal(_bits(got), _bits(want)) and not got.any()
 
 
+def test_voxel_deposit_over_many_chunks_matches_masked_deposit_bitwise(rng):
+    # a cell's terms come from every chunk; depositing a chunk's second terms
+    # before the next chunk's first ones would add them in another order
+    bins, height, width = 4, 3, 2
+    n = 2 * _k.CHUNK + 123
+    tstar = rng.uniform(0, bins - 1, n)
+    ps = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+    xs = rng.integers(0, width, n).astype(np.uint16)
+    ys = rng.integers(0, height, n).astype(np.uint16)
+    got, want = _deposits(tstar, xs, ys, ps, bins, height, width)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_voxelize_matches_masked_deposit_bitwise(rng):
     # timestamps 0..49, none in 20..29; windows with events exactly at t0
     # and t1, reaching past the stream, and holding no events

@@ -20,6 +20,8 @@ Imports evlight from ``CHECKOUT/src``, writes every output under WORKDIR
   repeat) and over one long enough for about 27,000 distinct timestamps,
   whose sort key needs 16 bits; and ``voxelize`` of each with a ``--t0``
   and ``--t1`` cutting inside the stream at timestamps it holds;
+* ``voxelize`` of an EVST simulated from a 260x348 pair (the padded DAVIS346
+  extent), whose pixel indices y*W + x pass 65,535;
 * the pairs CSV of ``align-match``;
 * ``lightup`` seeded and with ``--ckpt``, both ``snr-map`` outputs at two
   kernel/tau settings, and ``voxelize`` at the default and at 6 bins;
@@ -187,6 +189,22 @@ def digests(checkout: str, work: str) -> list[tuple[str, str]]:
             "--t0", t0, "--t1", t1)
         out += [(os.path.basename(events), events),
                 (os.path.basename(grid), grid)]
+
+    # the padded DAVIS346 extent: from row 189 on, y*348 + x passes 65,535,
+    # so a deposit whose pixel index wrapped at 16 bits would move this grid
+    rng = np.random.default_rng(19)
+    counts = rng.integers(0, 4, (260, 348, 1))
+    signs = rng.choice([-1, 1], counts.shape)
+    frame_a = np.where(signs > 0, 0.02, 0.9)
+    pair = [os.path.join(work, f"davis_{name}.pfm") for name in "ab"]
+    write_image(pair[0], frame_a)
+    write_image(pair[1], frame_a * np.exp(signs * (counts + 0.5) * 0.25))
+    events = os.path.join(work, "davis_260x348.evst")
+    run(cli, "simulate-events", "--frame-a", pair[0], "--frame-b", pair[1],
+        "--t-a", "0", "--t-b", "100000", "--theta", "0.25", "--out", events)
+    grid = os.path.join(work, "voxelize_davis_260x348.npy")
+    run(cli, "voxelize", "--events", events, "--out", grid, "--bins", "8")
+    out.append((os.path.basename(grid), grid))
 
     meta = os.path.join(work, "meta.csv")
     rng = np.random.default_rng(13)
